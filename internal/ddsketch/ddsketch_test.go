@@ -376,3 +376,41 @@ func TestSparseStore(t *testing.T) {
 		t.Error("clone shares state with original")
 	}
 }
+
+// TestQuantileExtremeMagnitudes: a bucket whose upper bound overflows
+// float64 must not turn the estimate into NaN; the clamp pins it to the
+// observed max (or min, mirrored).
+func TestQuantileExtremeMagnitudes(t *testing.T) {
+	for _, tc := range []struct {
+		xs   []float64
+		q    float64
+		want float64
+	}{
+		{[]float64{math.MaxFloat64, 1}, 1, math.MaxFloat64},
+		{[]float64{-math.MaxFloat64, 1}, 0.5, -math.MaxFloat64},
+		{[]float64{math.Inf(1), 1}, 1, math.Inf(1)},
+		{[]float64{math.Inf(-1), 1}, 0.5, math.Inf(-1)},
+	} {
+		for _, mk := range []func() *Sketch{
+			func() *Sketch { return New(0.01) },
+			func() *Sketch {
+				m, _ := NewLinearMapping(0.01)
+				s, _ := NewWithMapping(m, func() Store { return NewDenseStore() })
+				return s
+			},
+		} {
+			s := mk()
+			for _, x := range tc.xs {
+				s.Insert(x)
+			}
+			got, err := s.Quantile(tc.q)
+			if err != nil || got != tc.want {
+				t.Errorf("%v Quantile(%v) = %v, %v; want %v", tc.xs, tc.q, got, err, tc.want)
+			}
+			all, err := s.QuantileAll([]float64{tc.q})
+			if err != nil || all[0] != tc.want {
+				t.Errorf("%v QuantileAll(%v) = %v, %v; want %v", tc.xs, tc.q, all, err, tc.want)
+			}
+		}
+	}
+}

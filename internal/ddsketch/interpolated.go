@@ -100,12 +100,23 @@ func (m Cubic) Index(x float64) int {
 	return int(math.Ceil(fastlog.Log2Cubic(x) * m.multiplier))
 }
 
-// Value implements IndexMapping: the harmonic midpoint 2·lo·hi/(lo+hi) of
-// the bucket's value bounds, within α of both ends whenever hi/lo ≤ γ.
-// Computed as 2·hi/(1+hi/lo) — the product form overflows past ~1e154.
+// Value implements IndexMapping: the harmonic midpoint of the bucket's
+// value bounds (see harmonicMid), within α of both ends whenever
+// hi/lo ≤ γ.
 func (m Cubic) Value(i int) float64 {
 	lo := fastlog.Log2CubicInverse((float64(i) - 1) / m.multiplier)
 	hi := fastlog.Log2CubicInverse(float64(i) / m.multiplier)
+	return harmonicMid(lo, hi)
+}
+
+// harmonicMid returns 2·lo·hi/(lo+hi) in the form 2·hi/(1+hi/lo), since
+// the product overflows past ~1e154. A bucket whose upper bound
+// overflows (values near ±MaxFloat64) yields +Inf rather than the
+// Inf/Inf NaN, so the sketches' clamp lands on the observed max or min.
+func harmonicMid(lo, hi float64) float64 {
+	if math.IsInf(hi, 1) {
+		return hi
+	}
 	return 2 * (hi / (1 + hi/lo))
 }
 
@@ -160,11 +171,11 @@ func (m Linear) Index(x float64) int {
 	return int(math.Ceil(fastlog.Log2Linear(x) * m.multiplier))
 }
 
-// Value implements IndexMapping (overflow-safe form, as in Cubic.Value).
+// Value implements IndexMapping (the harmonic midpoint, as in Cubic.Value).
 func (m Linear) Value(i int) float64 {
 	lo := fastlog.Log2LinearInverse((float64(i) - 1) / m.multiplier)
 	hi := fastlog.Log2LinearInverse(float64(i) / m.multiplier)
-	return 2 * (hi / (1 + hi/lo))
+	return harmonicMid(lo, hi)
 }
 
 // Alpha implements IndexMapping.

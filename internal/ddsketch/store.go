@@ -47,6 +47,7 @@ type DenseStore struct {
 	counts []int64
 	offset int
 	total  int64
+	live   int // non-empty slots, so NonEmptyBuckets is O(1)
 	minIdx int
 	maxIdx int
 }
@@ -62,6 +63,9 @@ func (s *DenseStore) Add(index int, count int64) {
 		return
 	}
 	s.ensure(index)
+	if s.counts[index-s.offset] == 0 {
+		s.live++
+	}
 	s.counts[index-s.offset] += count
 	s.total += count
 	if index < s.minIdx {
@@ -97,9 +101,14 @@ func (s *DenseStore) AddOnes(indexes []int) {
 	s.ensure(lo)
 	s.ensure(hi)
 	counts, offset := s.counts, s.offset
+	live := s.live
 	for _, i := range indexes {
+		if counts[i-offset] == 0 {
+			live++
+		}
 		counts[i-offset]++
 	}
+	s.live = live
 	s.total += int64(len(indexes))
 	if lo < s.minIdx {
 		s.minIdx = lo
@@ -169,11 +178,49 @@ func (s *DenseStore) ForEach(fn func(index int, count int64) bool) {
 	}
 }
 
+// ForEachUnordered visits every non-empty bucket (in ascending order,
+// which is one valid order).
+func (s *DenseStore) ForEachUnordered(fn func(index int, count int64)) {
+	s.ForEach(func(i int, c int64) bool { fn(i, c); return true })
+}
+
 // NonEmptyBuckets implements Store.
-func (s *DenseStore) NonEmptyBuckets() int {
-	n := 0
-	s.ForEach(func(int, int64) bool { n++; return true })
-	return n
+func (s *DenseStore) NonEmptyBuckets() int { return s.live }
+
+// CollapseUniform merges every bucket pair (2j−1, 2j) into bucket j, so
+// index i moves to ⌈i/2⌉: UDDSketch's uniform collapse. The array is
+// rebuilt over the halved span, so memory shrinks with it.
+func (s *DenseStore) CollapseUniform() {
+	if s.total == 0 {
+		return
+	}
+	lo, hi := ceilDiv2(s.minIdx), ceilDiv2(s.maxIdx)
+	span := hi - lo + 1
+	n := (span + initialDenseBuckets - 1) / initialDenseBuckets * initialDenseBuckets
+	folded := make([]int64, n)
+	offset := lo - (n-span)/2
+	live := 0
+	for i := s.minIdx; i <= s.maxIdx; i++ {
+		c := s.counts[i-s.offset]
+		if c == 0 {
+			continue
+		}
+		p := ceilDiv2(i) - offset
+		if folded[p] == 0 {
+			live++
+		}
+		folded[p] += c
+	}
+	s.counts, s.offset, s.live = folded, offset, live
+	s.minIdx, s.maxIdx = lo, hi
+}
+
+// ceilDiv2 computes ⌈i/2⌉ for signed i.
+func ceilDiv2(i int) int {
+	if i > 0 {
+		return (i + 1) / 2
+	}
+	return i / 2 // Go truncation toward zero == ceil for negatives
 }
 
 // NumbersHeld implements Store.
@@ -258,11 +305,17 @@ func (s *CollapsingLowestDenseStore) collapseLowestTo(newMin int) {
 	var folded int64
 	for i := s.minIdx; i < newMin && i <= s.maxIdx; i++ {
 		pos := i - s.offset
+		if s.counts[pos] != 0 {
+			s.live--
+		}
 		folded += s.counts[pos]
 		s.counts[pos] = 0
 	}
 	if folded > 0 {
 		s.ensure(newMin)
+		if s.counts[newMin-s.offset] == 0 {
+			s.live++
+		}
 		s.counts[newMin-s.offset] += folded
 	}
 	if newMin > s.minIdx {
@@ -366,8 +419,27 @@ func (s *SparseStore) ForEach(fn func(index int, count int64) bool) {
 	}
 }
 
+// ForEachUnordered visits every non-empty bucket in map order, without
+// ForEach's key sort: the walk for order-independent folds (merges,
+// scaling, sums).
+func (s *SparseStore) ForEachUnordered(fn func(index int, count int64)) {
+	for i, c := range s.counts {
+		fn(i, c)
+	}
+}
+
 // NonEmptyBuckets implements Store.
 func (s *SparseStore) NonEmptyBuckets() int { return len(s.counts) }
+
+// CollapseUniform merges every bucket pair (2j−1, 2j) into bucket j, so
+// index i moves to ⌈i/2⌉: UDDSketch's uniform collapse.
+func (s *SparseStore) CollapseUniform() {
+	folded := make(map[int]int64, (len(s.counts)+1)/2)
+	for i, c := range s.counts {
+		folded[ceilDiv2(i)] += c
+	}
+	s.counts = folded
+}
 
 // NumbersHeld implements Store.
 func (s *SparseStore) NumbersHeld() int {
@@ -381,16 +453,16 @@ func (s *SparseStore) CollapseCount() int { return 0 }
 
 // Clone implements Store.
 func (s *SparseStore) Clone() Store {
-	c := NewSparseStore()
-	c.total = s.total
+	c := &SparseStore{counts: make(map[int]int64, len(s.counts)), total: s.total}
 	for i, v := range s.counts {
 		c.counts[i] = v
 	}
 	return c
 }
 
-// Reset implements Store.
+// Reset implements Store. The map keeps its capacity, so refilling a
+// reset store does not rehash.
 func (s *SparseStore) Reset() {
-	s.counts = make(map[int]int64)
+	clear(s.counts)
 	s.total = 0
 }

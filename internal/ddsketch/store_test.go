@@ -134,3 +134,52 @@ func TestMappingBounds(t *testing.T) {
 		t.Error("MinIndexableValue must be positive")
 	}
 }
+
+// TestDenseStoreLiveCount pins the O(1) NonEmptyBuckets counter against
+// a ForEach count after every operation that can change it.
+func TestDenseStoreLiveCount(t *testing.T) {
+	check := func(tag string, st Store) {
+		t.Helper()
+		n := 0
+		st.ForEach(func(int, int64) bool { n++; return true })
+		if got := st.NonEmptyBuckets(); got != n {
+			t.Fatalf("%s: NonEmptyBuckets = %d, ForEach counts %d", tag, got, n)
+		}
+	}
+	rng := rand.New(rand.NewPCG(3, 5))
+	st := NewDenseStore()
+	check("empty", st)
+	for i := 0; i < 500; i++ {
+		st.Add(rng.IntN(300)-150, int64(1+rng.IntN(3)))
+	}
+	check("Add", st)
+	idx := make([]int, 400)
+	for i := range idx {
+		idx[i] = rng.IntN(900) - 450
+	}
+	st.AddOnes(idx)
+	check("AddOnes", st)
+	cl := st.Clone()
+	check("Clone", cl)
+	for k := 0; k < 4; k++ {
+		st.CollapseUniform()
+		check("CollapseUniform", st)
+	}
+	check("Clone after original collapsed", cl)
+	st.Reset()
+	check("Reset", st)
+
+	cs := NewCollapsingLowestDenseStore(32)
+	for i := 0; i < 2000; i++ {
+		cs.Add(rng.IntN(200)-20+i/10, 1)
+	}
+	if cs.CollapseCount() == 0 {
+		t.Fatal("collapsing store never collapsed")
+	}
+	check("collapseLowestTo", cs)
+	cs.AddOnes(idx)
+	check("collapsing AddOnes", cs)
+	check("collapsing Clone", cs.Clone())
+	cs.Reset()
+	check("collapsing Reset", cs)
+}

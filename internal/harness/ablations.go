@@ -352,8 +352,8 @@ func runLogMomentsAblation(opts Options) ([]Table, error) {
 
 // runUDDStoreAblation tests the paper's causal claim head-on: UDDSketch's
 // slow inserts and merges are attributed to its "unoptimized map-based
-// implementation" (Sec 4.4.1/4.4.3). Same collapse algorithm, two
-// stores.
+// implementation" (Sec 4.4.1/4.4.3). One sketch type, two ddsketch
+// stores (SparseStore vs DenseStore).
 func runUDDStoreAblation(opts Options) ([]Table, error) {
 	n := opts.scaled(10_000_000)
 	buf := presample(minInt(n, 1_000_000), opts.Seed^0x5705)
@@ -361,7 +361,7 @@ func runUDDStoreAblation(opts Options) ([]Table, error) {
 		Title:   fmt.Sprintf("UDDSketch store ablation: map vs dense array (%d Pareto inserts)", n),
 		Headers: []string{"store", "insert/op", "merge/op", "8-quantile query", "memory KB"},
 		Notes: []string{
-			"paper attributes UDDSketch's slow insert/merge to the map store; identical collapse algorithm here isolates that choice",
+			"paper attributes UDDSketch's slow insert/merge to the map store; one sketch type whose only difference is the ddsketch store isolates that choice",
 		},
 	}
 	type variant struct {

@@ -12,123 +12,58 @@ var (
 	_ sketch.MultiQuantiler = (*Sketch)(nil)
 )
 
-// InsertBatch implements sketch.BatchInserter: one branch on the
-// indexer kind outside the loop, then the index computation — the cubic
-// float-bit approximation with its multiplier hoisted, or the legacy
-// log-gamma divide — runs in a tight loop with the store maps, bounds
-// and count in locals. The bucket-budget check stays per-element — a
-// collapse changes every subsequent index — so collapses trigger at
-// exactly the scalar path's points; the hoisted mapping state is
-// refreshed after each collapse.
+// InsertBatch implements sketch.BatchInserter: the stores, the indexer
+// state, bounds and zero count stay in locals across the batch, and the
+// index computation is s.index inlined by hand. The bucket-budget check
+// stays per-element — a collapse changes every subsequent index — so
+// collapses trigger at exactly the scalar path's points; the hoisted
+// indexer state is refreshed after each collapse.
 //
 //sketch:hotpath
 func (s *Sketch) InsertBatch(xs []float64) {
-	if len(xs) == 0 {
-		return
-	}
-	if s.indexer == indexerCubic {
-		s.insertBatchCubic(xs)
-	} else {
-		s.insertBatchLog(xs)
-	}
-}
-
-//sketch:hotpath
-func (s *Sketch) insertBatchCubic(xs []float64) {
 	pos, neg := s.positive, s.negative
-	mult := s.multiplier
-	budget := s.maxBuckets
-	count := s.count
-	startCount := count
+	cubic := s.indexer == indexerCubic
+	mult, logGamma, minIndexable := s.multiplier, s.logGamma, s.minIndexable()
 	minV, maxV := s.min, s.max
-	var zero int64
+	var zero, inserted int64
 	for _, x := range xs {
 		if math.IsNaN(x) {
 			continue
 		}
-		switch {
-		case x >= fastlog.MinIndexable:
-			pos[int(math.Ceil(fastlog.Log2Cubic(x)*mult))]++
-		case x < 0 && -x >= fastlog.MinIndexable:
-			neg[int(math.Ceil(fastlog.Log2Cubic(-x)*mult))]++
-		default:
-			zero++
-		}
-		count++
+		inserted++
 		if x < minV {
 			minV = x
 		}
 		if x > maxV {
 			maxV = x
 		}
-		if len(pos)+len(neg) > budget {
-			s.count = count
-			s.zeroCnt += zero
-			zero = 0
-			s.min, s.max = minV, maxV
-			for len(s.positive)+len(s.negative) > budget {
-				s.uniformCollapse()
-			}
-			s.assertInvariants("collapse")
-			pos, neg = s.positive, s.negative
-			mult = s.multiplier
-		}
-	}
-	if metrics != nil {
-		metrics.Inserts.Add(int64(count - startCount))
-	}
-	s.count = count
-	s.zeroCnt += zero
-	s.min, s.max = minV, maxV
-}
-
-//sketch:hotpath
-func (s *Sketch) insertBatchLog(xs []float64) {
-	pos, neg := s.positive, s.negative
-	logGamma := s.logGamma
-	minIndexable := s.minIndexable()
-	budget := s.maxBuckets
-	count := s.count
-	startCount := count
-	minV, maxV := s.min, s.max
-	var zero int64
-	for _, x := range xs {
-		if math.IsNaN(x) {
+		ax := math.Abs(x)
+		if ax == 0 || ax < minIndexable {
+			zero++
 			continue
 		}
-		switch {
-		case x > 0 && x >= minIndexable:
-			pos[int(math.Ceil(math.Log(x)/logGamma))]++
-		case x < 0 && -x >= minIndexable:
-			neg[int(math.Ceil(math.Log(-x)/logGamma))]++
-		default:
-			zero++
+		var i int
+		if cubic {
+			i = int(math.Ceil(fastlog.Log2Cubic(ax) * mult))
+		} else {
+			i = int(math.Ceil(math.Log(ax) / logGamma))
 		}
-		count++
-		if x < minV {
-			minV = x
+		if x > 0 {
+			pos.Add(i, 1)
+		} else {
+			neg.Add(i, 1)
 		}
-		if x > maxV {
-			maxV = x
-		}
-		if len(pos)+len(neg) > budget {
-			s.count = count
+		if pos.NonEmptyBuckets()+neg.NonEmptyBuckets() > s.maxBuckets {
 			s.zeroCnt += zero
 			zero = 0
 			s.min, s.max = minV, maxV
-			for len(s.positive)+len(s.negative) > budget {
-				s.uniformCollapse()
-			}
-			s.assertInvariants("collapse")
-			pos, neg = s.positive, s.negative
-			logGamma = s.logGamma
-			minIndexable = s.minIndexable()
+			s.enforceBudget()
+			mult, logGamma, minIndexable = s.multiplier, s.logGamma, s.minIndexable()
 		}
 	}
 	if metrics != nil {
-		metrics.Inserts.Add(int64(count - startCount))
+		metrics.Inserts.Add(inserted)
 	}
-	s.count = count
 	s.zeroCnt += zero
 	s.min, s.max = minV, maxV
 }

@@ -9,12 +9,12 @@ import (
 
 // The cubic indexer's collapse exactness: because the multiplier is
 // halved exactly in floating point at every uniform collapse,
-// index_k(x) = ceilDiv2^k(index_0(x)) holds bit-exactly, so a sketch
-// that collapsed organically mid-stream must end in *bit-identical*
-// state to one that ingested everything at full resolution and
-// collapsed afterwards. This is the metamorphic pin for the bit-trick
-// indexer — any drift between "collapse then insert" and "insert then
-// collapse" would show up as differing bucket keys here.
+// index_k(x) = ⌈index_0(x)/2^k⌉ holds bit-exactly, so a sketch that
+// collapsed organically mid-stream must end in *bit-identical* state to
+// one that ingested everything at full resolution and collapsed
+// afterwards — on either store. This is the metamorphic pin for the
+// bit-trick indexer — any drift between "collapse then insert" and
+// "insert then collapse" would show up as differing bucket keys here.
 func TestMetamorphicCollapseInsertCommutes(t *testing.T) {
 	const budget = 64
 	rng := rand.New(rand.NewPCG(41, 43))
@@ -30,91 +30,41 @@ func TestMetamorphicCollapseInsertCommutes(t *testing.T) {
 		}
 		data[i] = x
 	}
-	limited := New(0.001, budget)
-	for _, x := range data {
-		limited.Insert(x)
-	}
-	if limited.Collapses() == 0 {
-		t.Fatal("stream did not force any collapse; test is vacuous")
-	}
-	unlimited := New(0.001, 1<<30)
-	for _, x := range data {
-		unlimited.Insert(x)
-	}
-	for unlimited.Collapses() < limited.Collapses() {
-		unlimited.uniformCollapse()
-	}
-	if a, b := limited.Alpha(), unlimited.Alpha(); math.Float64bits(a) != math.Float64bits(b) {
-		t.Fatalf("alpha diverged: %x vs %x", math.Float64bits(a), math.Float64bits(b))
-	}
-	if a, b := limited.multiplier, unlimited.multiplier; math.Float64bits(a) != math.Float64bits(b) {
-		t.Fatalf("multiplier diverged: %x vs %x", math.Float64bits(a), math.Float64bits(b))
-	}
-	mapsEqual := func(tag string, a, b map[int]int64) {
-		t.Helper()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d buckets vs %d", tag, len(a), len(b))
-		}
-		for i, c := range a {
-			if b[i] != c {
-				t.Fatalf("%s bucket %d: %d vs %d", tag, i, c, b[i])
+	for _, k := range storeKinds {
+		t.Run(k.name, func(t *testing.T) {
+			limited := k.mustNew(t, 0.001, budget)
+			for _, x := range data {
+				limited.Insert(x)
 			}
-		}
-	}
-	mapsEqual("positive", limited.positive, unlimited.positive)
-	mapsEqual("negative", limited.negative, unlimited.negative)
-	for _, q := range []float64{0.001, 0.25, 0.5, 0.75, 0.999} {
-		a, err1 := limited.Quantile(q)
-		b, err2 := unlimited.Quantile(q)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("q=%v: %v vs %v not bit-identical", q, a, b)
-		}
-	}
-}
-
-// The same metamorphic property for the array-backed ablation variant.
-func TestMetamorphicCollapseInsertCommutesArray(t *testing.T) {
-	const budget = 64
-	rng := rand.New(rand.NewPCG(47, 53))
-	data := make([]float64, 20_000)
-	for i := range data {
-		data[i] = math.Exp(rng.Float64()*40 - 20)
-	}
-	limited, err := NewArray(0.001, budget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range data {
-		limited.Insert(x)
-	}
-	if limited.collapses == 0 {
-		t.Fatal("no collapse forced")
-	}
-	unlimited, err := NewArray(0.001, 1<<24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range data {
-		unlimited.Insert(x)
-	}
-	for unlimited.collapses < limited.collapses {
-		unlimited.uniformCollapse()
-	}
-	if math.Float64bits(limited.multiplier) != math.Float64bits(unlimited.multiplier) {
-		t.Fatal("multiplier diverged")
-	}
-	for _, q := range []float64{0.01, 0.5, 0.99} {
-		a, err1 := limited.Quantile(q)
-		b, err2 := unlimited.Quantile(q)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("q=%v: %v vs %v not bit-identical", q, a, b)
-		}
+			if limited.Collapses() == 0 {
+				t.Fatal("stream did not force any collapse; test is vacuous")
+			}
+			unlimited := k.mustNew(t, 0.001, 1<<30)
+			for _, x := range data {
+				unlimited.Insert(x)
+			}
+			for unlimited.Collapses() < limited.Collapses() {
+				unlimited.uniformCollapse()
+			}
+			if a, b := limited.Alpha(), unlimited.Alpha(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("alpha diverged: %x vs %x", math.Float64bits(a), math.Float64bits(b))
+			}
+			if a, b := limited.multiplier, unlimited.multiplier; math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("multiplier diverged: %x vs %x", math.Float64bits(a), math.Float64bits(b))
+			}
+			bucketsEqual(t, "positive", limited.positive, unlimited.positive)
+			bucketsEqual(t, "negative", limited.negative, unlimited.negative)
+			for _, q := range []float64{0.001, 0.25, 0.5, 0.75, 0.999} {
+				a, err1 := limited.Quantile(q)
+				b, err2 := unlimited.Quantile(q)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("q=%v: %v vs %v not bit-identical", q, a, b)
+				}
+			}
+		})
 	}
 }
 

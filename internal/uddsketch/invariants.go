@@ -8,11 +8,12 @@ import (
 	"repro/internal/invariant"
 )
 
-// assertInvariants re-verifies the map-backed UDDSketch's contracts:
+// assertInvariants re-verifies UDDSketch's contracts:
 //
-//   - Count conservation: Σ positive + Σ negative + zeroCnt == count.
-//     Unlike DDSketch the total is stored, so a drifting bucket map
-//     would silently skew every rank estimate.
+//   - Count conservation: each store's cached Total() equals the sum of
+//     its bucket counts, so Count() (derived from the totals) matches
+//     what the buckets hold; a drifting store would silently skew every
+//     rank estimate.
 //   - Bucket budget: at most maxBuckets live buckets after any
 //     complete operation (uniform collapse enforces it).
 //   - Positive bucket counts: neither insertion nor collapse can
@@ -20,20 +21,22 @@ import (
 //   - Accuracy bookkeeping: α ∈ (0,1) and γ consistent with α.
 //   - Ordered bounds: min ≤ max (non-NaN) whenever non-empty.
 func (s *Sketch) assertInvariants(op string) {
-	var sum int64
-	for side, m := range map[string]map[int]int64{"positive": s.positive, "negative": s.negative} {
-		for i, c := range m {
+	for side, st := range map[string]bucketStore{"positive": s.positive, "negative": s.negative} {
+		var sum int64
+		st.ForEachUnordered(func(i int, c int64) {
 			if c <= 0 {
 				invariant.Violationf("uddsketch", op, "%s bucket %d has non-positive count %d", side, i, c)
 			}
 			sum += c
+		})
+		if sum != st.Total() {
+			invariant.Violationf("uddsketch", op, "%s store total %d disagrees with bucket sum %d", side, st.Total(), sum)
 		}
 	}
-	if sum+s.zeroCnt != s.count {
-		invariant.Violationf("uddsketch", op, "count conservation broken: buckets %d + zero %d != count %d",
-			sum, s.zeroCnt, s.count)
+	if s.zeroCnt < 0 {
+		invariant.Violationf("uddsketch", op, "negative zero count %d", s.zeroCnt)
 	}
-	if n := len(s.positive) + len(s.negative); n > s.maxBuckets {
+	if n := s.NonEmptyBuckets(); n > s.maxBuckets {
 		invariant.Violationf("uddsketch", op, "bucket budget exceeded: %d live buckets, budget %d", n, s.maxBuckets)
 	}
 	if !(s.alpha > 0 && s.alpha < 1) {
@@ -42,17 +45,17 @@ func (s *Sketch) assertInvariants(op string) {
 	if g := (1 + s.alpha) / (1 - s.alpha); math.Abs(g-s.gamma) > 1e-9*g {
 		invariant.Violationf("uddsketch", op, "gamma %v inconsistent with alpha %v (want %v)", s.gamma, s.alpha, g)
 	}
-	if s.count > 0 {
+	if s.Count() > 0 {
 		if math.IsNaN(s.min) || math.IsNaN(s.max) || !(s.min <= s.max) {
-			invariant.Violationf("uddsketch", op, "bounds broken: min %v, max %v with count %d", s.min, s.max, s.count)
+			invariant.Violationf("uddsketch", op, "bounds broken: min %v, max %v with count %d", s.min, s.max, s.Count())
 		}
 	}
 }
 
 // assertCount verifies count conservation across a merge.
-func (s *Sketch) assertCount(op string, want int64) {
-	if s.count != want {
-		invariant.Violationf("uddsketch", op, "count conservation broken: got %d, want %d", s.count, want)
+func (s *Sketch) assertCount(op string, want uint64) {
+	if got := s.Count(); got != want {
+		invariant.Violationf("uddsketch", op, "count conservation broken: got %d, want %d", got, want)
 	}
 	s.assertInvariants(op)
 }

@@ -10,17 +10,25 @@
 // α₀ = tanh(atanh(α_k)/2^(k−1)), which NewWithBudget computes (paper
 // Sec 3.4 and 4.2).
 //
-// Mirroring the study's methodology, the store is a Go map — the paper's
-// UDDSketch deliberately keeps the map-backed bucket store of the original
-// C implementation, and attributes its slower insert/merge times to it.
+// One Sketch type is the indexer, a positive and a mirrored negative
+// ddsketch bucket store, and the uniform-collapse policy. The store is
+// chosen by constructor: NewChecked and NewWithBudget use the map-backed
+// ddsketch.SparseStore, mirroring the study's methodology — the paper's
+// UDDSketch deliberately keeps the map store of the original C
+// implementation and attributes its slower insert/merge times to it —
+// while NewArray and NewArrayWithBudget use the array-backed
+// ddsketch.DenseStore, the store ablation that tests that attribution.
+// Both stores hold the same buckets, so every answer is bit-identical
+// between them.
 package uddsketch
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
+	"repro/internal/ddsketch"
 	"repro/internal/fastlog"
 	"repro/internal/sketch"
 )
@@ -38,20 +46,17 @@ const (
 )
 
 // indexerFlagCubic marks the cubic indexer in the serialized collapse
-// counter's high bit. Collapses are bounded (≤4096; α saturates long
-// before), so the bit is always clear in envelopes written before the
-// fast indexer existed — those decode as exact-log sketches, keeping
-// their bucket boundaries meaningful, with no format-version bump and
-// no change to the length of the envelope (truncations stay detectable).
-const indexerFlagCubic = uint32(1) << 31
-
-// indexerBits returns the flag bits to fold into the collapse counter.
-func indexerBits(indexer byte) uint32 {
-	if indexer == indexerCubic {
-		return indexerFlagCubic
-	}
-	return 0
-}
+// counter's high bit, and storeFlagDense the dense store in the bit
+// below it. Collapses are bounded (≤4096; α saturates long before), so
+// both bits are always clear in envelopes written before the fast
+// indexer and the dense store existed — those decode as exact-log,
+// map-store sketches, keeping their bucket boundaries meaningful, with
+// no format-version bump and no change to the length of the envelope
+// (truncations stay detectable).
+const (
+	indexerFlagCubic = uint32(1) << 31
+	storeFlagDense   = uint32(1) << 30
+)
 
 // initMultiplier returns the cubic indexer's buckets-per-ℓ-unit factor
 // for an uncollapsed γ: 1/(minSlope·log2 γ), the same construction as
@@ -60,8 +65,17 @@ func initMultiplier(gamma float64) float64 {
 	return 1 / (fastlog.CubicMinSlope * math.Log2(gamma))
 }
 
+// bucketStore is what UDDSketch needs from a ddsketch store beyond the
+// shared Store interface: the uniform collapse, and a walk that skips
+// SparseStore.ForEach's key sort for order-independent folds.
+type bucketStore interface {
+	ddsketch.Store
+	CollapseUniform()
+	ForEachUnordered(fn func(index int, count int64))
+}
+
 // Sketch is a UDDSketch instance covering the full real line (positive
-// map store, mirrored negative map store, and an exact-zero counter).
+// store, mirrored negative store, and an exact-zero counter).
 type Sketch struct {
 	initAlpha  float64
 	alpha      float64
@@ -80,18 +94,19 @@ type Sketch struct {
 	indexer    byte
 	multiplier float64
 
-	positive map[int]int64
-	negative map[int]int64
+	dense    bool // stores are DenseStores (NewArray) rather than SparseStores
+	positive bucketStore
+	negative bucketStore
 	zeroCnt  int64
-	count    int64
 	min, max float64
 }
 
 var _ sketch.Sketch = (*Sketch)(nil)
 
-// New returns a UDDSketch with initial relative accuracy alpha0 and a
-// bucket budget of maxBuckets (counting positive and negative buckets
-// together). It panics on invalid parameters; use NewChecked for errors.
+// New returns a map-store UDDSketch with initial relative accuracy
+// alpha0 and a bucket budget of maxBuckets (counting positive and
+// negative buckets together). It panics on invalid parameters; use
+// NewChecked for errors.
 func New(alpha0 float64, maxBuckets int) *Sketch {
 	s, err := NewChecked(alpha0, maxBuckets)
 	if err != nil {
@@ -102,6 +117,49 @@ func New(alpha0 float64, maxBuckets int) *Sketch {
 
 // NewChecked is New with error reporting instead of panicking.
 func NewChecked(alpha0 float64, maxBuckets int) (*Sketch, error) {
+	return newSketch(alpha0, maxBuckets, false)
+}
+
+// NewArray is NewChecked on the dense array store instead of the map.
+func NewArray(alpha0 float64, maxBuckets int) (*Sketch, error) {
+	return newSketch(alpha0, maxBuckets, true)
+}
+
+// NewWithBudget returns a map-store UDDSketch whose *final* relative
+// accuracy is still alphaK after numCollapses−1 uniform collapses, by
+// starting from α₀ = tanh(atanh(alphaK)/2^(numCollapses−1)). This
+// reproduces the study's configuration: alphaK = 0.01, maxBuckets =
+// 1024, numCollapses = 12.
+func NewWithBudget(alphaK float64, maxBuckets, numCollapses int) (*Sketch, error) {
+	alpha0, err := budgetAlpha(alphaK, numCollapses)
+	if err != nil {
+		return nil, err
+	}
+	return NewChecked(alpha0, maxBuckets)
+}
+
+// NewArrayWithBudget is NewWithBudget on the dense array store.
+func NewArrayWithBudget(alphaK float64, maxBuckets, numCollapses int) (*Sketch, error) {
+	alpha0, err := budgetAlpha(alphaK, numCollapses)
+	if err != nil {
+		return nil, err
+	}
+	return NewArray(alpha0, maxBuckets)
+}
+
+// budgetAlpha returns the α₀ that deteriorates to alphaK after
+// numCollapses−1 collapses.
+func budgetAlpha(alphaK float64, numCollapses int) (float64, error) {
+	if !(alphaK > 0 && alphaK < 1) {
+		return 0, fmt.Errorf("uddsketch: alpha must be in (0,1), got %v", alphaK)
+	}
+	if numCollapses < 1 {
+		return 0, fmt.Errorf("uddsketch: numCollapses must be >= 1, got %d", numCollapses)
+	}
+	return math.Tanh(math.Atanh(alphaK) / math.Pow(2, float64(numCollapses-1))), nil
+}
+
+func newSketch(alpha0 float64, maxBuckets int, dense bool) (*Sketch, error) {
 	if !(alpha0 > 0 && alpha0 < 1) {
 		return nil, fmt.Errorf("uddsketch: alpha must be in (0,1), got %v", alpha0)
 	}
@@ -112,29 +170,22 @@ func NewChecked(alpha0 float64, maxBuckets int) (*Sketch, error) {
 		initAlpha:  alpha0,
 		maxBuckets: maxBuckets,
 		indexer:    indexerCubic,
-		positive:   make(map[int]int64),
-		negative:   make(map[int]int64),
+		dense:      dense,
 		min:        math.Inf(1),
 		max:        math.Inf(-1),
 	}
+	s.positive, s.negative = s.newStore(), s.newStore()
 	s.setAlpha(alpha0)
 	s.multiplier = initMultiplier(s.gamma)
 	return s, nil
 }
 
-// NewWithBudget returns a UDDSketch whose *final* relative accuracy is
-// still alphaK after numCollapses−1 uniform collapses, by starting from
-// α₀ = tanh(atanh(alphaK)/2^(numCollapses−1)). This reproduces the study's
-// configuration: alphaK = 0.01, maxBuckets = 1024, numCollapses = 12.
-func NewWithBudget(alphaK float64, maxBuckets, numCollapses int) (*Sketch, error) {
-	if !(alphaK > 0 && alphaK < 1) {
-		return nil, fmt.Errorf("uddsketch: alpha must be in (0,1), got %v", alphaK)
+// newStore returns an empty store of the sketch's kind.
+func (s *Sketch) newStore() bucketStore {
+	if s.dense {
+		return ddsketch.NewDenseStore()
 	}
-	if numCollapses < 1 {
-		return nil, fmt.Errorf("uddsketch: numCollapses must be >= 1, got %d", numCollapses)
-	}
-	alpha0 := math.Tanh(math.Atanh(alphaK) / math.Pow(2, float64(numCollapses-1)))
-	return NewChecked(alpha0, maxBuckets)
+	return ddsketch.NewSparseStore()
 }
 
 func (s *Sketch) setAlpha(alpha float64) {
@@ -167,7 +218,7 @@ func (s *Sketch) MaxBuckets() int { return s.maxBuckets }
 // benchmarks and cross-checks. Panics once the sketch holds data, since
 // already-assigned buckets would change meaning.
 func (s *Sketch) UseLegacyLogIndexer() {
-	if s.count != 0 || s.zeroCnt != 0 {
+	if s.Count() != 0 {
 		panic("uddsketch: cannot change indexer of a non-empty sketch")
 	}
 	s.indexer = indexerLog
@@ -196,7 +247,11 @@ func (s *Sketch) value(i int) float64 {
 		lo := fastlog.Log2CubicInverse((float64(i) - 1) / s.multiplier)
 		hi := fastlog.Log2CubicInverse(float64(i) / s.multiplier)
 		// Harmonic midpoint in the overflow-safe form — the product
-		// lo·hi overflows past ~1e154.
+		// lo·hi overflows past ~1e154. An overflowed upper bound stays
+		// +Inf (not Inf/Inf = NaN) so clamp lands on max or min.
+		if math.IsInf(hi, 1) {
+			return hi
+		}
 		return 2 * (hi / (1 + hi/lo))
 	}
 	return 2 * math.Pow(s.gamma, float64(i)) / (s.gamma + 1)
@@ -216,47 +271,36 @@ func (s *Sketch) InsertN(x float64, n uint64) {
 	}
 	switch {
 	case x > 0 && x >= s.minIndexable():
-		s.positive[s.index(x)] += int64(n)
+		s.positive.Add(s.index(x), int64(n))
 	case x < 0 && -x >= s.minIndexable():
-		s.negative[s.index(-x)] += int64(n)
+		s.negative.Add(s.index(-x), int64(n))
 	default:
 		s.zeroCnt += int64(n)
 	}
-	s.count += int64(n)
 	if x < s.min {
 		s.min = x
 	}
 	if x > s.max {
 		s.max = x
 	}
-	if len(s.positive)+len(s.negative) > s.maxBuckets {
-		for len(s.positive)+len(s.negative) > s.maxBuckets {
+	s.enforceBudget()
+}
+
+// enforceBudget collapses until the live buckets fit maxBuckets.
+func (s *Sketch) enforceBudget() {
+	if s.NonEmptyBuckets() > s.maxBuckets {
+		for s.NonEmptyBuckets() > s.maxBuckets {
 			s.uniformCollapse()
 		}
 		s.assertInvariants("collapse")
 	}
 }
 
-// ceilDiv2 computes ⌈i/2⌉ for signed i.
-func ceilDiv2(i int) int {
-	if i > 0 {
-		return (i + 1) / 2
-	}
-	return i / 2 // Go truncation toward zero == ceil for negatives
-}
-
 // uniformCollapse merges every adjacent (odd, even) index pair into
 // ⌈i/2⌉, squares γ, and updates the error guarantee α ← 2α/(1+α²).
 func (s *Sketch) uniformCollapse() {
-	collapse := func(old map[int]int64) map[int]int64 {
-		neu := make(map[int]int64, (len(old)+1)/2)
-		for i, c := range old {
-			neu[ceilDiv2(i)] += c
-		}
-		return neu
-	}
-	s.positive = collapse(s.positive)
-	s.negative = collapse(s.negative)
+	s.positive.CollapseUniform()
+	s.negative.CollapseUniform()
 	s.setAlpha(2 * s.alpha / (1 + s.alpha*s.alpha))
 	// Halving is exact in floating point, so the cubic indexer's bucket
 	// boundaries after the collapse are exactly the merged pairs'.
@@ -272,15 +316,8 @@ func (s *Sketch) uniformCollapse() {
 }
 
 // Count implements sketch.Sketch.
-func (s *Sketch) Count() uint64 { return uint64(s.count) }
-
-func sortedKeys(m map[int]int64) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
+func (s *Sketch) Count() uint64 {
+	return uint64(s.positive.Total() + s.negative.Total() + s.zeroCnt)
 }
 
 // Quantile implements sketch.Sketch.
@@ -288,133 +325,76 @@ func (s *Sketch) Quantile(q float64) (float64, error) {
 	if err := sketch.CheckQuantile(q); err != nil {
 		return 0, err
 	}
-	if s.count == 0 {
+	if s.Count() == 0 {
 		return 0, sketch.ErrEmpty
 	}
-	rank := int64(math.Ceil(q * float64(s.count)))
-	if rank < 1 {
-		rank = 1
+	out, err := s.QuantileAll([]float64{q})
+	if err != nil {
+		return 0, err
 	}
-	if rank > s.count {
-		rank = s.count
-	}
-	var negTotal int64
-	for _, c := range s.negative {
-		negTotal += c
-	}
-	switch {
-	case rank <= negTotal:
-		want := negTotal - rank
-		var cum int64
-		keys := sortedKeys(s.negative)
-		for _, i := range keys {
-			cum += s.negative[i]
-			if cum > want {
-				return s.clamp(-s.value(i)), nil
-			}
-		}
-		return s.clamp(s.min), nil
-	case rank <= negTotal+s.zeroCnt:
-		return 0, nil
-	default:
-		want := rank - negTotal - s.zeroCnt
-		var cum int64
-		keys := sortedKeys(s.positive)
-		for _, i := range keys {
-			cum += s.positive[i]
-			if cum >= want {
-				return s.clamp(s.value(i)), nil
-			}
-		}
-		return s.clamp(s.max), nil
-	}
+	return out[0], nil
 }
 
-// storeTarget is one batched rank target: want is the cumulative count
-// that resolves it during a store scan, pos its slot in the output.
+// storeTarget is one batched rank target: the store scan resolves it at
+// the first bucket whose cumulative count exceeds want; pos is its slot
+// in the output.
 type storeTarget struct {
 	want int64
 	pos  int
 }
 
-// QuantileAll implements sketch.MultiQuantiler: the negative total is
-// summed once, each touched store sorts its keys once, and one
-// cumulative scan resolves all of that store's targets in ascending
-// rank order — instead of one full map walk plus key sort per quantile.
+// QuantileAll implements sketch.MultiQuantiler: each rank target is
+// mapped to its store (negative / zero / positive), and one ascending
+// scan of each touched store resolves all of that store's targets in
+// ascending rank order — instead of one full store walk per quantile.
 func (s *Sketch) QuantileAll(qs []float64) ([]float64, error) {
-	if err := sketch.ValidateQuantiles(qs, s.count == 0); err != nil {
+	count := int64(s.Count())
+	if err := sketch.ValidateQuantiles(qs, count == 0); err != nil {
 		return nil, err
 	}
-	var negTotal int64
-	for _, c := range s.negative {
-		negTotal += c
-	}
+	negTotal := s.negative.Total()
 	out := make([]float64, len(qs))
 	var negT, posT []storeTarget
 	for i, q := range qs {
-		rank := int64(math.Ceil(q * float64(s.count)))
-		if rank < 1 {
-			rank = 1
-		}
-		if rank > s.count {
-			rank = s.count
-		}
+		rank := min(max(int64(math.Ceil(q*float64(count))), 1), count)
 		switch {
 		case rank <= negTotal:
 			negT = append(negT, storeTarget{negTotal - rank, i})
 		case rank <= negTotal+s.zeroCnt:
 			out[i] = 0
 		default:
-			posT = append(posT, storeTarget{rank - negTotal - s.zeroCnt, i})
+			posT = append(posT, storeTarget{rank - negTotal - s.zeroCnt - 1, i})
 		}
 	}
-	byWant := func(a, b storeTarget) int {
-		switch {
-		case a.want < b.want:
-			return -1
-		case a.want > b.want:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if len(negT) > 0 {
-		slices.SortFunc(negT, byWant)
-		k := 0
-		var cum int64
-		for _, i := range sortedKeys(s.negative) {
-			cum += s.negative[i]
-			for k < len(negT) && cum > negT[k].want {
-				out[negT[k].pos] = s.clamp(-s.value(i))
-				k++
-			}
-			if k == len(negT) {
-				break
-			}
-		}
-		for ; k < len(negT); k++ {
-			out[negT[k].pos] = s.clamp(s.min)
-		}
-	}
-	if len(posT) > 0 {
-		slices.SortFunc(posT, byWant)
-		k := 0
-		var cum int64
-		for _, i := range sortedKeys(s.positive) {
-			cum += s.positive[i]
-			for k < len(posT) && cum >= posT[k].want {
-				out[posT[k].pos] = s.clamp(s.value(i))
-				k++
-			}
-			if k == len(posT) {
-				break
-			}
-		}
-		for ; k < len(posT); k++ {
-			out[posT[k].pos] = s.clamp(s.max)
-		}
-	}
+	// The negative store holds magnitudes, so its ascending scan walks
+	// values downward from zero and resolves ranks counted from the top
+	// of the negatives.
+	s.resolve(s.negative, negT, out, -1, s.min)
+	s.resolve(s.positive, posT, out, 1, s.max)
 	return out, nil
+}
+
+// resolve answers targets from one ascending scan of st. sign mirrors
+// the negative store's magnitudes; fallback answers targets beyond the
+// last bucket.
+func (s *Sketch) resolve(st bucketStore, ts []storeTarget, out []float64, sign, fallback float64) {
+	if len(ts) == 0 {
+		return
+	}
+	slices.SortFunc(ts, func(a, b storeTarget) int { return cmp.Compare(a.want, b.want) })
+	k := 0
+	var cum int64
+	st.ForEach(func(i int, c int64) bool {
+		cum += c
+		for k < len(ts) && cum > ts[k].want {
+			out[ts[k].pos] = s.clamp(sign * s.value(i))
+			k++
+		}
+		return k < len(ts)
+	})
+	for ; k < len(ts); k++ {
+		out[ts[k].pos] = s.clamp(fallback)
+	}
 }
 
 func (s *Sketch) clamp(x float64) float64 {
@@ -429,38 +409,37 @@ func (s *Sketch) clamp(x float64) float64 {
 
 // Rank implements sketch.Sketch.
 func (s *Sketch) Rank(x float64) (float64, error) {
-	if s.count == 0 {
+	count := s.Count()
+	if count == 0 {
 		return 0, sketch.ErrEmpty
 	}
 	var le int64
 	if x >= 0 {
-		for _, c := range s.negative {
-			le += c
-		}
-		le += s.zeroCnt
+		le = s.negative.Total() + s.zeroCnt
 		if x > 0 {
 			xi := s.index(x)
-			for i, c := range s.positive {
+			s.positive.ForEachUnordered(func(i int, c int64) {
 				if i <= xi {
 					le += c
 				}
-			}
+			})
 		}
 	} else {
 		xi := s.index(-x)
-		for i, c := range s.negative {
+		s.negative.ForEachUnordered(func(i int, c int64) {
 			if i >= xi {
 				le += c
 			}
-		}
+		})
 	}
-	return float64(le) / float64(s.count), nil
+	return float64(le) / float64(count), nil
 }
 
 // Merge implements sketch.Sketch (the fusion algorithm of Cafaro et al.):
 // the less-collapsed sketch's buckets are collapsed until both share γ,
 // the aligned bucket counts are added, and a final uniform collapse runs
-// if the bucket budget is exceeded.
+// if the bucket budget is exceeded. The two sides' stores may differ in
+// kind; the receiver keeps its own.
 func (s *Sketch) Merge(other sketch.Sketch) error {
 	o, ok := other.(*Sketch)
 	if !ok {
@@ -474,39 +453,29 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 		// counts index-by-index would silently corrupt both guarantees.
 		return fmt.Errorf("%w: indexer mismatch %d vs %d", sketch.ErrIncompatible, s.indexer, o.indexer)
 	}
-	mergedCount := s.count + o.count
+	mergedCount := s.Count() + o.Count()
 	// Work on a private copy of the more-refined side so `other` is not
 	// mutated while aligning γ.
 	src := o
-	if o.collapses != s.collapses {
-		if o.collapses < s.collapses {
-			src = o.clone()
-			for src.collapses < s.collapses {
-				src.uniformCollapse()
-			}
-		} else {
-			for s.collapses < o.collapses {
-				s.uniformCollapse()
-			}
+	if o.collapses < s.collapses {
+		src = o.clone()
+		for src.collapses < s.collapses {
+			src.uniformCollapse()
 		}
 	}
-	for i, c := range src.positive {
-		s.positive[i] += c
+	for s.collapses < src.collapses {
+		s.uniformCollapse()
 	}
-	for i, c := range src.negative {
-		s.negative[i] += c
-	}
+	src.positive.ForEachUnordered(s.positive.Add)
+	src.negative.ForEachUnordered(s.negative.Add)
 	s.zeroCnt += src.zeroCnt
-	s.count += src.count
 	if src.min < s.min {
 		s.min = src.min
 	}
 	if src.max > s.max {
 		s.max = src.max
 	}
-	for len(s.positive)+len(s.negative) > s.maxBuckets {
-		s.uniformCollapse()
-	}
+	s.enforceBudget()
 	if metrics != nil {
 		metrics.PeakBytes.Max(int64(s.MemoryBytes()))
 	}
@@ -516,28 +485,24 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 
 func (s *Sketch) clone() *Sketch {
 	c := *s
-	c.positive = make(map[int]int64, len(s.positive))
-	for i, v := range s.positive {
-		c.positive[i] = v
-	}
-	c.negative = make(map[int]int64, len(s.negative))
-	for i, v := range s.negative {
-		c.negative[i] = v
-	}
+	c.positive = s.positive.Clone().(bucketStore)
+	c.negative = s.negative.Clone().(bucketStore)
 	return &c
 }
 
 // NonEmptyBuckets reports the live bucket count across both stores.
-func (s *Sketch) NonEmptyBuckets() int { return len(s.positive) + len(s.negative) }
+func (s *Sketch) NonEmptyBuckets() int {
+	return s.positive.NonEmptyBuckets() + s.negative.NonEmptyBuckets()
+}
 
-// Footprint implements sketch.Footprinter. The map-backed stores hold
-// no hidden capacity beyond the paper's 3-numbers-per-bucket
-// accounting, so the live footprint is MemoryBytes itself.
+// Footprint implements sketch.Footprinter. The stores hold no hidden
+// capacity beyond what NumbersHeld accounts (3 numbers per map bucket,
+// every dense array slot), so the live footprint is MemoryBytes itself.
 func (s *Sketch) Footprint() int { return s.MemoryBytes() }
 
 // maxDegradeCollapses caps the collapse counter at its serialization
-// bound (the counter shares its wire word with the indexer flag; α has
-// long saturated at 1 by then anyway).
+// bound (the counter shares its wire word with the indexer and store
+// flags; α has long saturated at 1 by then anyway).
 const maxDegradeCollapses = 4096
 
 // Degrade implements sketch.Degrader: run one extra uniform collapse —
@@ -554,11 +519,7 @@ func (s *Sketch) Degrade() (int, error) {
 	before := s.Footprint()
 	s.uniformCollapse()
 	s.assertInvariants("degrade")
-	freed := before - s.Footprint()
-	if freed < 0 {
-		freed = 0
-	}
-	return freed, nil
+	return max(before-s.Footprint(), 0), nil
 }
 
 // AccuracyBound implements sketch.AccuracyBounder: the sketch's current
@@ -567,20 +528,18 @@ func (s *Sketch) Degrade() (int, error) {
 // carries the worse collapse count's α).
 func (s *Sketch) AccuracyBound() float64 { return s.alpha }
 
-// MemoryBytes implements sketch.Sketch using the paper's accounting for a
-// map-backed store: a map index, a bucket index and a count per bucket
-// (Sec 4.3), plus fixed bookkeeping.
+// MemoryBytes implements sketch.Sketch with the paper's accounting
+// (Sec 4.3): the stores' NumbersHeld — for the map store a map index, a
+// bucket index and a count per bucket — plus fixed bookkeeping.
 func (s *Sketch) MemoryBytes() int {
-	numbers := 3*(len(s.positive)+len(s.negative)) + 8
-	return 8 * numbers
+	return 8 * (s.positive.NumbersHeld() + s.negative.NumbersHeld() + 6)
 }
 
 // Reset implements sketch.Sketch.
 func (s *Sketch) Reset() {
-	s.positive = make(map[int]int64)
-	s.negative = make(map[int]int64)
+	s.positive.Reset()
+	s.negative.Reset()
 	s.zeroCnt = 0
-	s.count = 0
 	s.collapses = 0
 	s.min = math.Inf(1)
 	s.max = math.Inf(-1)
@@ -588,29 +547,36 @@ func (s *Sketch) Reset() {
 	s.multiplier = initMultiplier(s.gamma)
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler. The indexer kind
-// rides in the high bit of the collapse counter (see indexerFlagCubic)
-// so that envelopes written before the fast indexer existed decode as
-// exact-log sketches without a version bump or a length change.
+// MarshalBinary implements encoding.BinaryMarshaler. The indexer and
+// store kinds ride in the high bits of the collapse counter (see
+// indexerFlagCubic) so that envelopes written before either existed
+// decode as exact-log map-store sketches without a version bump or a
+// length change.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	w := sketch.NewWriter(64 + 16*(len(s.positive)+len(s.negative)))
+	w := sketch.NewWriter(64 + 16*s.NonEmptyBuckets())
 	w.Header(sketch.TagUDDSketch)
 	w.F64(s.initAlpha)
 	w.U32(uint32(s.maxBuckets))
-	w.U32(uint32(s.collapses) | indexerBits(s.indexer))
+	flags := uint32(0)
+	if s.indexer == indexerCubic {
+		flags |= indexerFlagCubic
+	}
+	if s.dense {
+		flags |= storeFlagDense
+	}
+	w.U32(uint32(s.collapses) | flags)
 	w.I64(s.zeroCnt)
-	w.I64(s.count)
+	w.I64(int64(s.Count()))
 	w.F64(s.min)
 	w.F64(s.max)
-	writeMap := func(m map[int]int64) {
-		w.U32(uint32(len(m)))
-		for _, i := range sortedKeys(m) {
+	for _, st := range []bucketStore{s.positive, s.negative} {
+		w.U32(uint32(st.NonEmptyBuckets()))
+		st.ForEach(func(i int, c int64) bool {
 			w.I64(int64(i))
-			w.I64(m[i])
-		}
+			w.I64(c)
+			return true
+		})
 	}
-	writeMap(s.positive)
-	writeMap(s.negative)
 	return w.Bytes(), nil
 }
 
@@ -623,15 +589,7 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	initAlpha := r.F64()
 	maxBuckets := int(r.U32())
 	rawCollapses := r.U32()
-	// High bit of the collapse counter carries the indexer kind;
-	// envelopes from before the fast indexer always have it clear, so
-	// they decode as exact-log sketches and their bucket boundaries keep
-	// meaning what they meant when written.
-	indexer := indexerLog
-	if rawCollapses&indexerFlagCubic != 0 {
-		indexer = indexerCubic
-	}
-	collapses := int(rawCollapses &^ indexerFlagCubic)
+	collapses := int(rawCollapses &^ (indexerFlagCubic | storeFlagDense))
 	zeroCnt := r.I64()
 	count := r.I64()
 	minV := r.F64()
@@ -641,13 +599,13 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	// Bound decoded parameters: α saturates after ~60 collapses, and the
 	// bucket budget never exceeds a few thousand in any valid sketch.
-	if collapses < 0 || collapses > 4096 || maxBuckets > 1<<24 {
+	if collapses > maxDegradeCollapses || maxBuckets > 1<<24 {
 		return sketch.ErrCorrupt
 	}
 	if zeroCnt < 0 || count < 0 || math.IsNaN(minV) || math.IsNaN(maxV) {
 		return sketch.ErrCorrupt
 	}
-	ns, err := NewChecked(initAlpha, maxBuckets)
+	ns, err := newSketch(initAlpha, maxBuckets, rawCollapses&storeFlagDense != 0)
 	if err != nil {
 		return sketch.ErrCorrupt
 	}
@@ -656,10 +614,9 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	}
 	ns.collapses = collapses
 	ns.zeroCnt = zeroCnt
-	ns.count = count
 	ns.min = minV
 	ns.max = maxV
-	readMap := func(m map[int]int64) error {
+	for _, st := range []bucketStore{ns.positive, ns.negative} {
 		n := int(r.U32())
 		for i := 0; i < n; i++ {
 			idx := r.I64()
@@ -667,19 +624,14 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 			if r.Err() != nil {
 				return r.Err()
 			}
-			// Valid sketches never hold empty or negative buckets.
-			if c <= 0 {
+			// Valid sketches never hold empty or negative buckets, and a
+			// dense store must not be made to allocate an index span no
+			// float64 input can produce.
+			if c <= 0 || ns.dense && (idx > 1<<26 || idx < -(1<<26)) {
 				return sketch.ErrCorrupt
 			}
-			m[int(idx)] += c
+			st.Add(int(idx), c)
 		}
-		return nil
-	}
-	if err := readMap(ns.positive); err != nil {
-		return err
-	}
-	if err := readMap(ns.negative); err != nil {
-		return err
 	}
 	if r.Err() != nil {
 		return r.Err()
@@ -687,26 +639,22 @@ func (s *Sketch) UnmarshalBinary(data []byte) error {
 	if r.Remaining() != 0 {
 		return sketch.ErrCorrupt
 	}
-	ns.indexer = indexer
+	// High bit of the collapse counter carries the indexer kind;
+	// envelopes from before the fast indexer always have it clear, so
+	// they decode as exact-log sketches and their bucket boundaries keep
+	// meaning what they meant when written.
+	if rawCollapses&indexerFlagCubic == 0 {
+		ns.indexer = indexerLog
+	}
 	// Ldexp is the k-fold exact halving the collapses performed.
 	ns.multiplier = math.Ldexp(ns.multiplier, -collapses)
 	// Structural validation: bucket sums must reproduce the serialized
 	// count, the budget must hold, and a non-empty sketch needs ordered
 	// bounds — anything else is corruption, not a decodable sketch.
-	var sum int64
-	for _, c := range ns.positive {
-		sum += c
-	}
-	for _, c := range ns.negative {
-		sum += c
-	}
-	if sum+ns.zeroCnt != ns.count {
+	if int64(ns.Count()) != count || ns.NonEmptyBuckets() > ns.maxBuckets {
 		return sketch.ErrCorrupt
 	}
-	if len(ns.positive)+len(ns.negative) > ns.maxBuckets {
-		return sketch.ErrCorrupt
-	}
-	if ns.count > 0 && !(ns.min <= ns.max) {
+	if count > 0 && !(ns.min <= ns.max) {
 		return sketch.ErrCorrupt
 	}
 	ns.assertInvariants("unmarshal")

@@ -28,14 +28,72 @@ func relErr(truth, est float64) float64 {
 	return math.Abs(truth-est) / math.Abs(truth)
 }
 
+// storeKind is one of the sketch's two bucket stores, for table tests
+// that must hold on both.
+type storeKind struct {
+	name       string
+	new        func(alpha0 float64, maxBuckets int) (*Sketch, error)
+	withBudget func(alphaK float64, maxBuckets, numCollapses int) (*Sketch, error)
+}
+
+var storeKinds = []storeKind{
+	{"map", NewChecked, NewWithBudget},
+	{"dense", NewArray, NewArrayWithBudget},
+}
+
+func (k storeKind) mustNew(t testing.TB, alpha0 float64, maxBuckets int) *Sketch {
+	t.Helper()
+	s, err := k.new(alpha0, maxBuckets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+func (k storeKind) mustBudget(t testing.TB, alphaK float64, maxBuckets, numCollapses int) *Sketch {
+	t.Helper()
+	s, err := k.withBudget(alphaK, maxBuckets, numCollapses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// buckets returns a store's contents as an index → count map.
+func buckets(st bucketStore) map[int]int64 {
+	m := make(map[int]int64)
+	st.ForEachUnordered(func(i int, c int64) { m[i] = c })
+	return m
+}
+
+func bucketsEqual(t *testing.T, tag string, a, b bucketStore) {
+	t.Helper()
+	ma, mb := buckets(a), buckets(b)
+	if len(ma) != len(mb) {
+		t.Fatalf("%s: %d buckets vs %d", tag, len(ma), len(mb))
+	}
+	for i, c := range ma {
+		if mb[i] != c {
+			t.Fatalf("%s bucket %d: %d vs %d", tag, i, c, mb[i])
+		}
+	}
+}
+
+// TestCeilDiv2 pins the collapse's index map i → ⌈i/2⌉ for signed
+// indices, on both stores: a lone bucket at in lands on want.
 func TestCeilDiv2(t *testing.T) {
 	cases := map[int]int{
 		-5: -2, -4: -2, -3: -1, -2: -1, -1: 0, 0: 0,
 		1: 1, 2: 1, 3: 2, 4: 2, 5: 3,
 	}
-	for in, want := range cases {
-		if got := ceilDiv2(in); got != want {
-			t.Errorf("ceilDiv2(%d) = %d, want %d", in, got, want)
+	for _, k := range storeKinds {
+		for in, want := range cases {
+			s := k.mustNew(t, 0.01, 16)
+			s.positive.Add(in, 1)
+			s.uniformCollapse()
+			if got := buckets(s.positive); len(got) != 1 || got[want] != 1 {
+				t.Errorf("%s: bucket %d collapsed to %v, want {%d:1}", k.name, in, got, want)
+			}
 		}
 	}
 }
@@ -74,43 +132,54 @@ func TestAlphaDeterioration(t *testing.T) {
 }
 
 func TestBucketBudgetRespected(t *testing.T) {
-	s := New(1e-4, 64)
-	rng := rand.New(rand.NewPCG(9, 10))
-	for i := 0; i < 100000; i++ {
-		s.Insert(math.Exp(rng.Float64()*40 - 20))
-	}
-	if n := s.NonEmptyBuckets(); n > 64 {
-		t.Errorf("holds %d buckets, budget 64", n)
+	for _, k := range storeKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.mustNew(t, 1e-4, 64)
+			rng := rand.New(rand.NewPCG(9, 10))
+			for i := 0; i < 100000; i++ {
+				s.Insert(math.Exp(rng.Float64()*40 - 20))
+			}
+			if n := s.NonEmptyBuckets(); n > 64 {
+				t.Errorf("holds %d buckets, budget 64", n)
+			}
+			if s.Collapses() == 0 {
+				t.Error("expected collapses")
+			}
+		})
 	}
 }
 
 // The headline property: current Alpha() always bounds the observed
 // relative error, even after collapses.
 func TestRelativeErrorGuarantee(t *testing.T) {
-	s, err := NewWithBudget(0.01, 1024, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewPCG(42, 43))
 	data := make([]float64, 200000)
 	for i := range data {
 		data[i] = 1 / math.Pow(1-rng.Float64(), 1.0) // Pareto α=1, huge range
-		s.Insert(data[i])
 	}
-	sort.Float64s(data)
-	alpha := s.Alpha()
-	if alpha > 0.01 {
-		t.Fatalf("final alpha %v exceeded the 0.01 design threshold", alpha)
-	}
-	for _, q := range []float64{0.01, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999} {
-		truth := exactQuantile(data, q)
-		est, err := s.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re := relErr(truth, est); re > alpha*(1+1e-9) {
-			t.Errorf("q=%v: rel err %v > current alpha %v", q, re, alpha)
-		}
+	for _, k := range storeKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.mustBudget(t, 0.01, 1024, 12)
+			for _, x := range data {
+				s.Insert(x)
+			}
+			sorted := append([]float64(nil), data...)
+			sort.Float64s(sorted)
+			alpha := s.Alpha()
+			if alpha > 0.01 {
+				t.Fatalf("final alpha %v exceeded the 0.01 design threshold", alpha)
+			}
+			for _, q := range []float64{0.01, 0.05, 0.25, 0.5, 0.75, 0.95, 0.99, 0.999} {
+				truth := exactQuantile(sorted, q)
+				est, err := s.Quantile(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if re := relErr(truth, est); re > alpha*(1+1e-9) {
+					t.Errorf("q=%v: rel err %v > current alpha %v", q, re, alpha)
+				}
+			}
+		})
 	}
 }
 
@@ -129,28 +198,45 @@ func TestEmptyAndInvalid(t *testing.T) {
 }
 
 func TestNegativeAndZero(t *testing.T) {
-	s := New(0.01, 1024)
-	for _, x := range []float64{-50, -5, 0, 5, 50} {
-		s.Insert(x)
-	}
-	med, err := s.Quantile(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if med != 0 {
-		t.Errorf("median = %v, want 0", med)
-	}
-	lo, _ := s.Quantile(0.2)
-	if re := relErr(-50, lo); re > 0.01 {
-		t.Errorf("q=0.2 = %v, want ≈ -50", lo)
+	for _, k := range storeKinds {
+		t.Run(k.name, func(t *testing.T) {
+			s := k.mustNew(t, 0.01, 1024)
+			for _, x := range []float64{-50, -5, 0, 5, 50} {
+				s.Insert(x)
+			}
+			med, err := s.Quantile(0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if med != 0 {
+				t.Errorf("median = %v, want 0", med)
+			}
+			lo, _ := s.Quantile(0.2)
+			if re := relErr(-50, lo); re > 0.01 {
+				t.Errorf("q=0.2 = %v, want ≈ -50", lo)
+			}
+			// Negatives are counted as negatives, not folded into zero.
+			if lo, _ = s.Quantile(0.4); relErr(-5, lo) > 0.01 {
+				t.Errorf("q=0.4 = %v, want ≈ -5", lo)
+			}
+			if r, _ := s.Rank(-1); r != 0.4 {
+				t.Errorf("Rank(-1) = %v, want 0.4", r)
+			}
+		})
 	}
 }
 
 // Merging sketches with different collapse counts aligns γ first and
 // preserves counts and accuracy.
 func TestMergeAlignsCollapses(t *testing.T) {
-	a := New(1e-4, 128) // will collapse on wide data
-	b := New(1e-4, 128)
+	for _, k := range storeKinds {
+		t.Run(k.name, func(t *testing.T) { testMergeAlignsCollapses(t, k) })
+	}
+}
+
+func testMergeAlignsCollapses(t *testing.T, k storeKind) {
+	a := k.mustNew(t, 1e-4, 128) // will collapse on wide data
+	b := k.mustNew(t, 1e-4, 128)
 	rng := rand.New(rand.NewPCG(5, 6))
 	var all []float64
 	for i := 0; i < 50000; i++ {
@@ -229,7 +315,13 @@ func TestMergeIncompatible(t *testing.T) {
 }
 
 func TestSerdeRoundTrip(t *testing.T) {
-	s := New(1e-4, 128)
+	for _, k := range storeKinds {
+		t.Run(k.name, func(t *testing.T) { testSerdeRoundTrip(t, k) })
+	}
+}
+
+func testSerdeRoundTrip(t *testing.T, k storeKind) {
+	s := k.mustNew(t, 1e-4, 128)
 	rng := rand.New(rand.NewPCG(21, 22))
 	for i := 0; i < 30000; i++ {
 		s.Insert(math.Exp(rng.Float64()*20 - 10))
@@ -242,7 +334,7 @@ func TestSerdeRoundTrip(t *testing.T) {
 	if err := d.UnmarshalBinary(blob); err != nil {
 		t.Fatal(err)
 	}
-	if d.Count() != s.Count() || d.Collapses() != s.Collapses() {
+	if d.Count() != s.Count() || d.Collapses() != s.Collapses() || d.dense != s.dense {
 		t.Fatalf("state mismatch after round trip")
 	}
 	if math.Abs(d.Alpha()-s.Alpha()) > 1e-15 {

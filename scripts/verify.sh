@@ -125,6 +125,10 @@ gate bench-smoke-accuracy go test -run '^$' -bench 'BenchmarkAccuracyEval' -benc
 gate bench-smoke-concurrent go test -run '^$' -bench 'BenchmarkConcurrentInsert' -benchtime 100x .
 gate bench-smoke-pane go test -run '^$' -bench 'BenchmarkSlidingThroughput' -benchtime 100x .
 gate bench-smoke-budget go test -run '^$' -bench 'BenchmarkBudgetOverhead' -benchtime 100x .
+# perfbench/ is its own module, so the root `go build ./...` and
+# `go test ./...` never compile it: vet and smoke-test it here, so an
+# API change in the packages it imports cannot land green.
+gate perfbench-smoke bash -c 'cd perfbench && go vet ./... && go test ./...'
 gate metrics-endpoint metrics_smoke
 
 echo "verify.sh: all gates passed"
