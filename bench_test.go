@@ -261,16 +261,30 @@ func BenchmarkInsertBatch(b *testing.B) {
 // with one Quantile call per q (scalar) against the native batched
 // kernels (sketch.MultiQuantiler). Each iteration inserts one value
 // first so cached CDF snapshots and maxent solutions are invalidated,
-// as they are between stream windows.
+// as they are between stream windows. Each sub-benchmark works on its
+// own serde clone of one filled sketch, so neither inherits the other's
+// inserts.
 func BenchmarkQuantileAll(b *testing.B) {
 	qs := core.AllQuantiles()
 	vals := paretoValues(1<<20, 13)
 	builders := benchBuilders(b)
 	for _, alg := range core.AlgorithmNames() {
 		builder := builders[alg]
-		sk := builder()
-		sketch.InsertAll(sk, vals)
+		filled := builder()
+		sketch.InsertAll(filled, vals)
+		blob, err := filled.MarshalBinary()
+		if err != nil {
+			b.Fatal(err)
+		}
+		clone := func(b *testing.B) sketch.Sketch {
+			sk := builder()
+			if err := sk.UnmarshalBinary(blob); err != nil {
+				b.Fatal(err)
+			}
+			return sk
+		}
 		b.Run(alg+"/scalar", func(b *testing.B) {
+			sk := clone(b)
 			for i := 0; i < b.N; i++ {
 				sk.Insert(vals[i&(1<<20-1)]) // invalidate solver/view caches
 				for _, q := range qs {
@@ -281,6 +295,7 @@ func BenchmarkQuantileAll(b *testing.B) {
 			}
 		})
 		b.Run(alg+"/batch", func(b *testing.B) {
+			sk := clone(b)
 			for i := 0; i < b.N; i++ {
 				sk.Insert(vals[i&(1<<20-1)])
 				if _, err := sketch.Quantiles(sk, qs); err != nil {

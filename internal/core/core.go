@@ -151,13 +151,12 @@ func EvaluateWindow(sk sketch.Sketch, values []float64) (WindowAccuracy, error) 
 	if len(values) == 0 {
 		return WindowAccuracy{}, stats.ErrEmpty
 	}
-	exact := stats.NewExactQuantiles(values)
-	return EvaluateAgainst(sk, exact)
+	return EvaluateAgainst(sk, stats.NewQuantileSet(values, AllQuantiles()))
 }
 
 // QuantileOracle is the ground-truth surface EvaluateAgainst queries:
-// *stats.ExactQuantiles for plain windows, *stats.WeightedQuantiles for
-// exponentially decayed sliding windows.
+// *stats.QuantileSet (or *stats.ExactQuantiles) for plain windows,
+// *stats.WeightedQuantiles for exponentially decayed sliding windows.
 type QuantileOracle interface {
 	Quantile(q float64) float64
 }

@@ -432,9 +432,12 @@ func (s *SparseStore) ForEachUnordered(fn func(index int, count int64)) {
 func (s *SparseStore) NonEmptyBuckets() int { return len(s.counts) }
 
 // CollapseUniform merges every bucket pair (2j−1, 2j) into bucket j, so
-// index i moves to ⌈i/2⌉: UDDSketch's uniform collapse.
+// index i moves to ⌈i/2⌉: UDDSketch's uniform collapse. The folded map
+// is sized for the pre-collapse bucket count, not the roughly half that
+// survive: a bucket-budgeted sketch collapses when it overflows its
+// budget, so it refills the map up to that count without a rehash.
 func (s *SparseStore) CollapseUniform() {
-	folded := make(map[int]int64, (len(s.counts)+1)/2)
+	folded := make(map[int]int64, len(s.counts))
 	for i, c := range s.counts {
 		folded[ceilDiv2(i)] += c
 	}

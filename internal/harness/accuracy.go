@@ -187,11 +187,13 @@ func streamAccuracyPartitioned(opts Options, dataset string, delayMean time.Dura
 			if len(r.Values) == 0 {
 				return windowEval{err: fmt.Errorf("harness: empty window %d on %s", r.Index, dataset)}
 			}
-			var exact core.QuantileOracle = stats.NewExactQuantiles(r.Values)
+			var exact core.QuantileOracle
 			if effLambda > 0 {
 				// Decayed windows are judged against the weighted exact
 				// distribution the engine's pane down-weighting targets.
 				exact = decayedOracle(r, effLambda)
+			} else {
+				exact = stats.NewQuantileSet(r.Values, core.AllQuantiles())
 			}
 			multi := r.Sketch.(*multiSketch)
 			perWin := make(map[string]core.WindowAccuracy, 5)

@@ -15,7 +15,7 @@ import (
 type multiSketch struct {
 	order    []string
 	builders map[string]sketch.Builder
-	children map[string]sketch.Sketch
+	children []sketch.Sketch // parallel to order
 }
 
 var (
@@ -29,21 +29,28 @@ var (
 // the stream engine.
 func newMultiBuilder(order []string, builders map[string]sketch.Builder) sketch.Builder {
 	return func() sketch.Sketch {
-		m := &multiSketch{order: order, builders: builders, children: make(map[string]sketch.Sketch, len(order))}
-		for _, name := range order {
-			m.children[name] = builders[name]()
+		m := &multiSketch{order: order, builders: builders, children: make([]sketch.Sketch, len(order))}
+		for i, name := range order {
+			m.children[i] = builders[name]()
 		}
 		return m
 	}
 }
 
-// child returns the named child sketch.
-func (m *multiSketch) child(name string) sketch.Sketch { return m.children[name] }
+// child returns the named child sketch, nil when there is none.
+func (m *multiSketch) child(name string) sketch.Sketch {
+	for i, n := range m.order {
+		if n == name {
+			return m.children[i]
+		}
+	}
+	return nil
+}
 
 // Insert implements sketch.Sketch.
 func (m *multiSketch) Insert(x float64) {
-	for _, name := range m.order {
-		m.children[name].Insert(x)
+	for _, c := range m.children {
+		c.Insert(x)
 	}
 }
 
@@ -51,8 +58,8 @@ func (m *multiSketch) Insert(x float64) {
 // to every child through its own batch kernel (when it has one), so the
 // stream engine's batched path benefits all algorithms under test.
 func (m *multiSketch) InsertBatch(xs []float64) {
-	for _, name := range m.order {
-		sketch.InsertAll(m.children[name], xs)
+	for _, c := range m.children {
+		sketch.InsertAll(c, xs)
 	}
 }
 
@@ -62,12 +69,11 @@ func (m *multiSketch) Merge(other sketch.Sketch) error {
 	if !ok {
 		return fmt.Errorf("%w: cannot merge %s into multi", sketch.ErrIncompatible, other.Name())
 	}
-	for _, name := range m.order {
-		oc := o.children[name]
-		if oc == nil {
+	for i, name := range m.order {
+		if i >= len(o.order) || o.order[i] != name {
 			return fmt.Errorf("%w: missing child %s", sketch.ErrIncompatible, name)
 		}
-		if err := m.children[name].Merge(oc); err != nil {
+		if err := m.children[i].Merge(o.children[i]); err != nil {
 			return err
 		}
 	}
@@ -86,10 +92,10 @@ func (m *multiSketch) Rank(float64) (float64, error) {
 
 // Count implements sketch.Sketch.
 func (m *multiSketch) Count() uint64 {
-	if len(m.order) == 0 {
+	if len(m.children) == 0 {
 		return 0
 	}
-	return m.children[m.order[0]].Count()
+	return m.children[0].Count()
 }
 
 // MemoryBytes implements sketch.Sketch.
@@ -109,8 +115,8 @@ func (m *multiSketch) Name() string { return "multi" }
 // by what it actually holds.
 func (m *multiSketch) Footprint() int {
 	total := 0
-	for _, name := range m.order {
-		total += sketch.FootprintOf(m.children[name])
+	for _, c := range m.children {
+		total += sketch.FootprintOf(c)
 	}
 	return total
 }
@@ -122,18 +128,18 @@ func (m *multiSketch) Footprint() int {
 // only when every child refuses.
 func (m *multiSketch) Degrade() (int, error) {
 	type cand struct {
-		name string
+		d    sketch.Degrader
 		foot int
 	}
-	cands := make([]cand, 0, len(m.order))
-	for _, name := range m.order {
-		if _, ok := m.children[name].(sketch.Degrader); ok {
-			cands = append(cands, cand{name, sketch.FootprintOf(m.children[name])})
+	cands := make([]cand, 0, len(m.children))
+	for _, c := range m.children {
+		if d, ok := c.(sketch.Degrader); ok {
+			cands = append(cands, cand{d, sketch.FootprintOf(c)})
 		}
 	}
 	sort.SliceStable(cands, func(i, j int) bool { return cands[i].foot > cands[j].foot })
 	for _, c := range cands {
-		if freed, err := m.children[c.name].(sketch.Degrader).Degrade(); err == nil {
+		if freed, err := c.d.Degrade(); err == nil {
 			return freed, nil
 		}
 	}
@@ -154,8 +160,8 @@ func (m *multiSketch) Reset() {
 // configuration error surfaced at engine construction via the builder
 // probe, so the assertion here cannot fire in a validated run.
 func (m *multiSketch) ScaleCount(g float64) {
-	for _, name := range m.order {
-		m.children[name].(sketch.CountScaler).ScaleCount(g)
+	for _, c := range m.children {
+		c.(sketch.CountScaler).ScaleCount(g)
 	}
 }
 
@@ -173,8 +179,8 @@ func (m *multiSketch) MarshalBinary() ([]byte, error) {
 	w.Byte(multiTag)
 	w.Byte(sketch.SerdeVersion)
 	w.U32(uint32(len(m.order)))
-	for _, name := range m.order {
-		blob, err := m.children[name].MarshalBinary()
+	for i, name := range m.order {
+		blob, err := m.children[i].MarshalBinary()
 		if err != nil {
 			return nil, fmt.Errorf("harness: multi child %s: %w", name, err)
 		}
@@ -196,7 +202,7 @@ func (m *multiSketch) UnmarshalBinary(data []byte) error {
 	if r.Err() != nil || n != len(m.order) {
 		return fmt.Errorf("harness: multi decode: %d children, want %d: %w", n, len(m.order), sketch.ErrCorrupt)
 	}
-	fresh := make(map[string]sketch.Sketch, n)
+	fresh := make([]sketch.Sketch, n)
 	for i := 0; i < n; i++ {
 		name := string(r.Blob())
 		blob := r.Blob()
@@ -214,7 +220,7 @@ func (m *multiSketch) UnmarshalBinary(data []byte) error {
 		if err := c.UnmarshalBinary(blob); err != nil {
 			return fmt.Errorf("harness: multi decode child %s: %w", name, err)
 		}
-		fresh[name] = c
+		fresh[i] = c
 	}
 	if r.Remaining() != 0 {
 		return fmt.Errorf("harness: multi decode: trailing bytes: %w", sketch.ErrCorrupt)

@@ -48,7 +48,12 @@ func (e *ExactQuantiles) N() int { return len(e.sorted) }
 // Quantile returns the exact q-quantile: the element of rank ceil(qN) in
 // the sorted data (the paper's Sec 2.1 definition), for q in (0, 1].
 func (e *ExactQuantiles) Quantile(q float64) float64 {
-	n := len(e.sorted)
+	return e.sorted[quantileRank(q, len(e.sorted))-1]
+}
+
+// quantileRank is the 1-based rank ceil(qN), clamped to [1, n], whose
+// element is the exact q-quantile of n values.
+func quantileRank(q float64, n int) int {
 	idx := int(math.Ceil(q * float64(n)))
 	if idx < 1 {
 		idx = 1
@@ -56,12 +61,12 @@ func (e *ExactQuantiles) Quantile(q float64) float64 {
 	if idx > n {
 		idx = n
 	}
-	return e.sorted[idx-1]
+	return idx
 }
 
 // Rank returns the number of elements less than or equal to x.
 func (e *ExactQuantiles) Rank(x float64) int {
-	return sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
+	return sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
 }
 
 // NormalizedRank returns Rank(x)/N, i.e. Quantile⁻¹(x) in the paper's

@@ -36,6 +36,13 @@ func (rs *runState) onDegrade(id int64) {
 // degradation alone cannot fit the budget, and finally toggle shedding
 // (rung 3). Shedding clears itself on the first pass that fits again.
 func (rs *runState) enforceBudget() {
+	if rs.cfg.Workers == 1 {
+		// The governor measures the serial sink's sketches, so their
+		// pending events go in first. Worker-owned sketches are governed
+		// by their workers; shipping their partial batches here would
+		// move the workers' enforcement points.
+		rs.sink.flush()
+	}
 	rs.sinceEnforce = 0
 	out := rs.gov.Enforce(rs.onDegrade)
 	for out.Exhausted && rs.coarsenOldestPane() {

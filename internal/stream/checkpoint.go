@@ -57,6 +57,9 @@ func (rs *runState) maybeSnapshot() error {
 		// resume could usefully replay.
 		return nil
 	}
+	// seqSink cannot flush inside snapshot: the snapshot path is an
+	// encode root that must stay pure, and the insert kernels are not.
+	rs.sink.flush()
 	return rs.snapshot()
 }
 

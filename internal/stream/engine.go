@@ -253,15 +253,22 @@ func (s Stats) LossRate() float64 {
 // engine drives it with the accepted-event stream in arrival order and
 // collects each window's partials at its fire barrier. Implementations:
 // seqSink (in-line inserts) and workerPool (batched inserts on worker
-// goroutines).
+// goroutines). Both may hold accepted events back from the sketches:
+// partials flushes the window it returns, and the engine calls flush
+// before the other steps that read or measure them (checkpoint
+// snapshots, budget passes).
 type partialSink interface {
 	// insert routes one accepted event to partition part of window win.
 	insert(win, part int, v float64)
+	// flush applies every event inserted so far to its partition
+	// sketch (for workerPool: ships it to the owning worker, whose
+	// channel orders it before any later barrier).
+	flush()
 	// partials returns window win's partition sketches, indexed by
 	// partition (nil entries for partitions that saw no events), with
-	// every insert for that window applied, plus the number of budget
-	// degradations the sink applied to them (workerPool counts its
-	// workers' in-sink degradations; seqSink reports 0 because the
+	// every insert for that window applied, plus the number of
+	// budget degradations the sink applied to them (workerPool counts
+	// its workers' in-sink degradations; seqSink reports 0 because the
 	// engine's governor attributes serial degradations to windowState
 	// directly). It is the fire barrier: the window's state is removed
 	// from the sink.
@@ -269,7 +276,7 @@ type partialSink interface {
 	// snapshot returns, for every open window, one sealed checkpoint
 	// envelope per partition holding that partition sketch's serialized
 	// state (nil entries for partitions without a sketch). It is a
-	// barrier: every insert issued before the call is reflected.
+	// barrier: every insert flushed before the call is reflected.
 	snapshot() (map[int][][]byte, error)
 	// restore seeds window win's partition sketches from a decoded
 	// snapshot. It must be called before any insert for that window.
@@ -281,20 +288,37 @@ type partialSink interface {
 	close()
 }
 
+// seqBatch is how many accepted events seqSink holds per (window,
+// partition) before inserting them through the sketch's batch kernel
+// (sketch.InsertAll). The BatchInserter contract makes a batch
+// indistinguishable from the same events inserted one at a time, so
+// deferring them changes nothing as long as every reader of a sketch
+// flushes first; 64 is enough to amortize the per-call dispatch and
+// keeps the flush at a fire barrier to at most 63 events a partition.
+const seqBatch = 64
+
 // seqSink is the single-threaded partialSink: inserts run on the
-// engine's goroutine as the events are processed. With a budget
-// governor wired (gov non-nil) every partition sketch is tracked under
-// the id win·partitions+part from creation to its fire barrier, so the
+// engine's goroutine, seqBatch events at a time. With a budget governor
+// wired (gov non-nil) every partition sketch is tracked under the id
+// win·partitions+part from creation to its fire barrier, so the
 // engine's enforcement passes see the sink's full footprint.
 type seqSink struct {
 	builder    sketch.Builder
 	partitions int
-	open       map[int][]sketch.Sketch
+	open       map[int]*seqWindow
+	free       []*seqWindow     // fired windows, pending buffers kept for reuse
 	gov        *budget.Governor // nil without Config.MemoryBudget
 }
 
+// seqWindow is one open window's (or pane's) partition sketches and,
+// per partition, its accepted events not yet inserted.
+type seqWindow struct {
+	sks     []sketch.Sketch
+	pending [][]float64 // per partition, fewer than seqBatch between calls
+}
+
 func newSeqSink(builder sketch.Builder, partitions int, gov *budget.Governor) *seqSink {
-	return &seqSink{builder: builder, partitions: partitions, open: make(map[int][]sketch.Sketch), gov: gov}
+	return &seqSink{builder: builder, partitions: partitions, open: make(map[int]*seqWindow), gov: gov}
 }
 
 // govID is the governor tracking id of (win, part): deterministic, so
@@ -303,22 +327,70 @@ func (s *seqSink) govID(win, part int) int64 {
 	return int64(win)*int64(s.partitions) + int64(part)
 }
 
+// openWindow starts window win's state, reusing a fired window's
+// pending buffers when one is free. The sketch slice is always fresh:
+// partials hands the previous one to the caller.
+func (s *seqSink) openWindow(win int, sks []sketch.Sketch) *seqWindow {
+	var w *seqWindow
+	if n := len(s.free); n > 0 {
+		w = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		w = &seqWindow{pending: make([][]float64, s.partitions)}
+		for part := range w.pending {
+			w.pending[part] = make([]float64, 0, seqBatch)
+		}
+	}
+	w.sks = sks
+	s.open[win] = w
+	return w
+}
+
 func (s *seqSink) insert(win, part int, v float64) {
-	ps := s.open[win]
-	if ps == nil {
-		ps = make([]sketch.Sketch, s.partitions)
-		s.open[win] = ps
+	w := s.open[win]
+	if w == nil {
+		w = s.openWindow(win, make([]sketch.Sketch, s.partitions))
 	}
-	if ps[part] == nil {
-		ps[part] = s.builder()
-		s.gov.Track(s.govID(win, part), ps[part])
+	if w.sks[part] == nil {
+		w.sks[part] = s.builder()
+		s.gov.Track(s.govID(win, part), w.sks[part])
 	}
-	ps[part].Insert(v)
+	buf := append(w.pending[part], v)
+	if len(buf) == seqBatch {
+		sketch.InsertAll(w.sks[part], buf)
+		buf = buf[:0]
+	}
+	w.pending[part] = buf
+}
+
+// flush inserts every window's pending events. Windows are independent
+// sketches, so the map's visiting order cannot show in any of them.
+func (s *seqSink) flush() {
+	for _, w := range s.open {
+		w.flush()
+	}
+}
+
+// flush inserts the window's pending events into its partition sketches.
+func (w *seqWindow) flush() {
+	for part, buf := range w.pending {
+		if len(buf) > 0 {
+			sketch.InsertAll(w.sks[part], buf)
+			w.pending[part] = buf[:0]
+		}
+	}
 }
 
 func (s *seqSink) partials(win int) ([]sketch.Sketch, int) {
-	ps := s.open[win]
+	w := s.open[win]
+	if w == nil {
+		return nil, 0
+	}
 	delete(s.open, win)
+	w.flush()
+	ps := w.sks
+	w.sks = nil
+	s.free = append(s.free, w)
 	if s.gov != nil {
 		for part := range ps {
 			s.gov.Untrack(s.govID(win, part))
@@ -338,9 +410,8 @@ func (s *seqSink) snapshot() (map[int][][]byte, error) {
 	sort.Ints(wins)
 	out := make(map[int][][]byte, len(s.open))
 	for _, win := range wins {
-		ps := s.open[win]
 		blobs := make([][]byte, s.partitions)
-		for part, sk := range ps {
+		for part, sk := range s.open[win].sks {
 			if sk == nil {
 				continue
 			}
@@ -356,7 +427,7 @@ func (s *seqSink) snapshot() (map[int][][]byte, error) {
 }
 
 func (s *seqSink) restore(win int, parts []sketch.Sketch) {
-	s.open[win] = parts
+	s.openWindow(win, parts)
 	if s.gov != nil {
 		for part, sk := range parts {
 			if sk != nil {

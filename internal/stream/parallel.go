@@ -199,9 +199,10 @@ func (p *workerPool) insert(win, part int, v float64) {
 	}
 }
 
-// flushPending ships every partially filled batch — the prelude to any
-// barrier, so the barrier observes all inserts issued before it.
-func (p *workerPool) flushPending() {
+// flush implements partialSink: ship every partially filled batch —
+// the prelude to any barrier, so the barrier observes all inserts
+// issued before it.
+func (p *workerPool) flush() {
 	for part, b := range p.pending {
 		if b != nil {
 			p.pending[part] = nil
@@ -215,7 +216,7 @@ func (p *workerPool) flushPending() {
 // sketches in partition order. The channel send/receive pair gives the
 // coordinator a happens-before edge on all of the window's inserts.
 func (p *workerPool) partials(win int) ([]sketch.Sketch, int) {
-	p.flushPending()
+	p.flush()
 	for w := 0; w < p.workers; w++ {
 		p.chans[w] <- workerMsg{fireWin: int32(win), reply: p.replies[w]}
 	}
@@ -236,7 +237,7 @@ func (p *workerPool) partials(win int) ([]sketch.Sketch, int) {
 // window. Every worker is always drained even when one reports an
 // error, keeping the channels balanced.
 func (p *workerPool) snapshot() (map[int][][]byte, error) {
-	p.flushPending()
+	p.flush()
 	for w := 0; w < p.workers; w++ {
 		p.chans[w] <- workerMsg{snap: p.snaps[w]}
 	}

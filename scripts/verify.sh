@@ -85,6 +85,10 @@ gate tests go test ./...
 gate hotpath-allocs go test -run 'Allocs' ./internal/kll ./internal/req \
 	./internal/ddsketch ./internal/uddsketch ./internal/moments \
 	./internal/fastlog ./internal/stream ./internal/concurrent
+# The selection-based ground truth must agree bit for bit with the
+# sorting oracle on any input; a short live fuzz session hunts for one
+# that breaks it (crashers land in internal/stats/testdata/fuzz).
+gate fuzz-quantileset go test -run '^$' -fuzz FuzzQuantileSet -fuzztime 10s ./internal/stats
 gate invariant-tests go test -tags invariants ./internal/...
 gate race go test -race ./internal/stream ./internal/harness
 # Crash-recovery / corruption matrix under the race detector: injected
