@@ -331,6 +331,13 @@ func BenchmarkAccuracyEval(b *testing.B) {
 // pane-sharing engine (each event is inserted once into its pane, and
 // each window is assembled by merging its 16 pane sketches). Both
 // variants process ~b.N events end to end.
+//
+// The decay rows run the pane engine with exponential decay at
+// λ = 1/s on the paper's UDDSketch, so 15 of each window's 16 panes
+// enter down-weighted: decay folds each one in through its
+// sketch.ScaledMerger kernel, and decay-serde hides that kernel so the
+// same run takes sketch.MergeScaled's reference path (serde clone,
+// ScaleCount, Merge) — the within-run measure of the kernel's gain.
 func BenchmarkSlidingThroughput(b *testing.B) {
 	const (
 		window = time.Second
@@ -369,25 +376,48 @@ func BenchmarkSlidingThroughput(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-	b.Run("pane", func(b *testing.B) {
-		eng, err := stream.NewEngine(stream.Config{
-			WindowSize: window,
-			Slide:      slide,
-			Rate:       rate,
-			NumWindows: b.N/perSlide + 1,
-			Partitions: 4,
-			Workers:    1,
-			Values:     newSrc(),
-			Builder:    builders["ddsketch"],
-		})
-		if err != nil {
-			b.Fatal(err)
+	pane := func(builder sketch.Builder, lambda float64) func(*testing.B) {
+		return func(b *testing.B) {
+			eng, err := stream.NewEngine(stream.Config{
+				WindowSize:  window,
+				Slide:       slide,
+				DecayLambda: lambda,
+				Rate:        rate,
+				NumWindows:  b.N/perSlide + 1,
+				Partitions:  4,
+				Workers:     1,
+				Values:      newSrc(),
+				Builder:     builder,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			if _, err := eng.Run(func(stream.WindowResult) {}); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.ResetTimer()
-		if _, err := eng.Run(func(stream.WindowResult) {}); err != nil {
-			b.Fatal(err)
-		}
-	})
+	}
+	udd := builders["uddsketch"]
+	b.Run("pane", pane(builders["ddsketch"], 0))
+	b.Run("decay", pane(udd, 1))
+	b.Run("decay-serde", pane(func() sketch.Sketch { return serdeScaled{udd()} }, 1))
+}
+
+// serdeScaled hides a sketch's ScaledMerger kernel behind the plain
+// Sketch method set (forwarding the batch insert and count scaling the
+// decayed pane engine also uses), so sketch.MergeScaled takes its serde
+// reference path.
+type serdeScaled struct{ sketch.Sketch }
+
+func (s serdeScaled) InsertBatch(xs []float64) { sketch.InsertAll(s.Sketch, xs) }
+func (s serdeScaled) ScaleCount(g float64)     { s.Sketch.(sketch.CountScaler).ScaleCount(g) }
+
+func (s serdeScaled) Merge(other sketch.Sketch) error {
+	if o, ok := other.(serdeScaled); ok {
+		other = o.Sketch
+	}
+	return s.Sketch.Merge(other)
 }
 
 // BenchmarkRelatedInsert covers the Sec 5 related sketches under the

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"os"
 	"strings"
 	"testing"
@@ -188,6 +189,44 @@ func TestMultiSketchFanOut(t *testing.T) {
 	_ = foreign
 	if err := m.Merge(builders["kll"]()); err == nil {
 		t.Error("merging a non-multi sketch should fail")
+	}
+}
+
+// serdeMulti hides the multiplexer's ScaledMerger kernel, so
+// sketch.MergeScaled clones the whole multiplexer through serde.
+type serdeMulti struct{ sketch.Sketch }
+
+// TestMultiSketchMergeScaled pins the multiplexer's MergeScaled, which
+// forwards each child through sketch.MergeScaled with its own builder,
+// to the reference path on the whole multiplexer: serde clone,
+// ScaleCount on every child, Merge.
+func TestMultiSketchMergeScaled(t *testing.T) {
+	builders, err := core.BuildersForDataset("uniform", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb := newMultiBuilder(core.AlgorithmNames(), builders)
+	fill := func(n, mod int) sketch.Sketch {
+		m := mb()
+		for i := 1; i <= n; i++ {
+			m.Insert(float64(i%mod) + 0.5)
+		}
+		return m
+	}
+	src := fill(7000, 1499)
+	for _, g := range []float64{1e-9, 0.37, 0.5, 0, 1} {
+		kernel, ref := fill(3000, 613), fill(3000, 613)
+		if err := kernel.(sketch.ScaledMerger).MergeScaled(src, g); err != nil {
+			t.Fatal(err)
+		}
+		if err := sketch.MergeScaled(serdeMulti{ref}, src, g, mb); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := kernel.MarshalBinary()
+		b, _ := ref.MarshalBinary()
+		if !bytes.Equal(a, b) {
+			t.Errorf("g=%v: multiplexer MergeScaled differs from the serde reference path", g)
+		}
 	}
 }
 

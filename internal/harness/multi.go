@@ -19,10 +19,11 @@ type multiSketch struct {
 }
 
 var (
-	_ sketch.Sketch      = (*multiSketch)(nil)
-	_ sketch.CountScaler = (*multiSketch)(nil)
-	_ sketch.Footprinter = (*multiSketch)(nil)
-	_ sketch.Degrader    = (*multiSketch)(nil)
+	_ sketch.Sketch       = (*multiSketch)(nil)
+	_ sketch.CountScaler  = (*multiSketch)(nil)
+	_ sketch.ScaledMerger = (*multiSketch)(nil)
+	_ sketch.Footprinter  = (*multiSketch)(nil)
+	_ sketch.Degrader     = (*multiSketch)(nil)
 )
 
 // newMultiBuilder wraps per-algorithm builders into a single builder for
@@ -65,6 +66,20 @@ func (m *multiSketch) InsertBatch(xs []float64) {
 
 // Merge implements sketch.Sketch.
 func (m *multiSketch) Merge(other sketch.Sketch) error {
+	return m.mergeEach(other, func(i int, dst, src sketch.Sketch) error { return dst.Merge(src) })
+}
+
+// MergeScaled implements sketch.ScaledMerger by forwarding every child
+// through sketch.MergeScaled with that child's own builder, so each
+// algorithm takes its native kernel when it has one.
+func (m *multiSketch) MergeScaled(other sketch.Sketch, g float64) error {
+	return m.mergeEach(other, func(i int, dst, src sketch.Sketch) error {
+		return sketch.MergeScaled(dst, src, g, m.builders[m.order[i]])
+	})
+}
+
+// mergeEach applies merge to each child pair in algorithm order.
+func (m *multiSketch) mergeEach(other sketch.Sketch, merge func(i int, dst, src sketch.Sketch) error) error {
 	o, ok := other.(*multiSketch)
 	if !ok {
 		return fmt.Errorf("%w: cannot merge %s into multi", sketch.ErrIncompatible, other.Name())
@@ -73,7 +88,7 @@ func (m *multiSketch) Merge(other sketch.Sketch) error {
 		if i >= len(o.order) || o.order[i] != name {
 			return fmt.Errorf("%w: missing child %s", sketch.ErrIncompatible, name)
 		}
-		if err := m.children[i].Merge(o.children[i]); err != nil {
+		if err := merge(i, m.children[i], o.children[i]); err != nil {
 			return err
 		}
 	}

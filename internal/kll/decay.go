@@ -1,12 +1,16 @@
 package kll
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/sketch"
 )
 
-var _ sketch.CountScaler = (*Sketch)(nil)
+var (
+	_ sketch.CountScaler  = (*Sketch)(nil)
+	_ sketch.ScaledMerger = (*Sketch)(nil)
+)
 
 // ScaleCount implements sketch.CountScaler by binary re-decomposition of
 // the retained samples: a sample at level h carries weight 2^h, so after
@@ -56,4 +60,22 @@ func (s *Sketch) ScaleCount(g float64) {
 	s.count = count
 	s.auxValid = false
 	s.compress()
+}
+
+// MergeScaled implements sketch.ScaledMerger: the reference path with
+// an in-memory copy (Clone) in place of its serde round trip. The copy
+// continues bit-identically to a decoded one, RNG state included, so
+// ScaleCount's compress flips the same coins and Merge sees the same
+// levels. other is only read.
+func (s *Sketch) MergeScaled(other sketch.Sketch, g float64) error {
+	if math.IsNaN(g) || g >= 1 {
+		return s.Merge(other)
+	}
+	o, ok := other.(*Sketch)
+	if !ok {
+		return fmt.Errorf("%w: cannot merge %s into kll", sketch.ErrIncompatible, other.Name())
+	}
+	c := o.Clone()
+	c.ScaleCount(g)
+	return s.Merge(c)
 }

@@ -345,13 +345,9 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 // Merge implements sketch.Sketch: power sums add elementwise; min/max
 // combine (Sec 3.2). Sketches must agree on k and transform.
 func (s *Sketch) Merge(other sketch.Sketch) error {
-	o, ok := other.(*Sketch)
-	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into moments", sketch.ErrIncompatible, other.Name())
-	}
-	if o.k != s.k || o.transform != s.transform {
-		return fmt.Errorf("%w: config mismatch (k=%d,%v) vs (k=%d,%v)",
-			sketch.ErrIncompatible, s.k, s.transform, o.k, o.transform)
+	o, err := s.mergeable(other)
+	if err != nil {
+		return err
 	}
 	mergedCount := s.powerSums[0] + o.powerSums[0]
 	for i := range s.powerSums {
@@ -366,6 +362,20 @@ func (s *Sketch) Merge(other sketch.Sketch) error {
 	s.solved = nil
 	s.assertCount("merge", mergedCount)
 	return nil
+}
+
+// mergeable returns other as a *Sketch when it tracks the same number
+// of moments in the same transformed domain.
+func (s *Sketch) mergeable(other sketch.Sketch) (*Sketch, error) {
+	o, ok := other.(*Sketch)
+	if !ok {
+		return nil, fmt.Errorf("%w: cannot merge %s into moments", sketch.ErrIncompatible, other.Name())
+	}
+	if o.k != s.k || o.transform != s.transform {
+		return nil, fmt.Errorf("%w: config mismatch (k=%d,%v) vs (k=%d,%v)",
+			sketch.ErrIncompatible, s.k, s.transform, o.k, o.transform)
+	}
+	return o, nil
 }
 
 // MemoryBytes implements sketch.Sketch: k power sums plus min and max and

@@ -1,12 +1,16 @@
 package req
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/sketch"
 )
 
-var _ sketch.CountScaler = (*Sketch)(nil)
+var (
+	_ sketch.CountScaler  = (*Sketch)(nil)
+	_ sketch.ScaledMerger = (*Sketch)(nil)
+)
 
 // ScaleCount implements sketch.CountScaler with the same binary
 // re-decomposition KLL uses: an item in the height-h compactor carries
@@ -57,4 +61,22 @@ func (s *Sketch) ScaleCount(g float64) {
 	s.count = count
 	s.auxValid = false
 	s.compress()
+}
+
+// MergeScaled implements sketch.ScaledMerger: the reference path with
+// an in-memory copy (clone) in place of its serde round trip. The copy
+// continues bit-identically to a decoded one, RNG state included, so
+// ScaleCount's compress flips the same coins and Merge sees the same
+// compactors. other is only read.
+func (s *Sketch) MergeScaled(other sketch.Sketch, g float64) error {
+	if math.IsNaN(g) || g >= 1 {
+		return s.Merge(other)
+	}
+	o, ok := other.(*Sketch)
+	if !ok {
+		return fmt.Errorf("%w: cannot merge %s into req", sketch.ErrIncompatible, other.Name())
+	}
+	c := o.clone()
+	c.ScaleCount(g)
+	return s.Merge(c)
 }

@@ -504,6 +504,41 @@ func (s *Sketch) Reset() {
 	*s = *NewWithSeed(s.k, s.hra, s.seed)
 }
 
+// clone returns a deep copy that continues (inserts, compaction coin
+// flips, serialization) bit-identically to the receiver while sharing
+// no mutable state with it. The sorted-view caches and merge scratch
+// are not copied; they are query-time scratch rebuilt on demand. It
+// panics if the compaction RNG state fails to round-trip, which cannot
+// happen for a state the RNG itself produced.
+func (s *Sketch) clone() *Sketch {
+	c := &Sketch{
+		k:     s.k,
+		hra:   s.hra,
+		count: s.count,
+		min:   s.min,
+		max:   s.max,
+		seed:  s.seed,
+	}
+	c.compactors = make([]*compactor, len(s.compactors))
+	for h, sc := range s.compactors {
+		cc := *sc
+		cc.buf = slices.Clone(sc.buf)
+		cc.scratch = nil
+		c.compactors[h] = &cc
+	}
+	state, err := s.pcg.MarshalBinary()
+	if err != nil {
+		panic(fmt.Sprintf("req: clone: marshal rng state: %v", err))
+	}
+	pcg := rand.NewPCG(s.seed, s.seed^0xbf58476d1ce4e5b9)
+	if err := pcg.UnmarshalBinary(state); err != nil {
+		panic(fmt.Sprintf("req: clone: restore rng state: %v", err))
+	}
+	c.pcg = pcg
+	c.rng = rand.New(pcg)
+	return c
+}
+
 func clampF(x, lo, hi float64) float64 {
 	if x < lo {
 		return lo

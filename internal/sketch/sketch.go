@@ -213,6 +213,57 @@ type CountScaler interface {
 	ScaleCount(g float64)
 }
 
+// MergeScaled folds src into dst with src's weight scaled by g — the
+// window-assembly step of exponential time decay (internal/stream),
+// where an older pane enters each window at its own weight while the
+// sealed pane stays exact for the later windows that reference it.
+// Receivers implementing ScaledMerger take their native one-pass
+// kernel. Everything else takes the reference path: src is cloned
+// through MarshalBinary into fresh() and UnmarshalBinary, the clone is
+// scaled by ScaleCount(g), and dst merges the clone. Either way, g ≥ 1
+// or NaN is a plain Merge.
+func MergeScaled(dst, src Sketch, g float64, fresh Builder) error {
+	if !(g < 1) {
+		return dst.Merge(src)
+	}
+	if m, ok := dst.(ScaledMerger); ok {
+		return m.MergeScaled(src, g)
+	}
+	blob, err := src.MarshalBinary()
+	if err != nil {
+		return fmt.Errorf("sketch: scaled merge clone: %w", err)
+	}
+	clone := fresh()
+	if err := clone.UnmarshalBinary(blob); err != nil {
+		return fmt.Errorf("sketch: scaled merge clone: %w", err)
+	}
+	cs, ok := clone.(CountScaler)
+	if !ok {
+		return fmt.Errorf("%w: %s does not implement CountScaler", ErrIncompatible, clone.Name())
+	}
+	cs.ScaleCount(g)
+	return dst.Merge(clone)
+}
+
+// ScaledMerger is implemented by sketches with a native kernel that
+// merges another sketch scaled by a weight, without MergeScaled's
+// serde clone.
+//
+// Contract: MergeScaled(other, g) must be indistinguishable from the
+// reference path of the MergeScaled helper (serde clone, ScaleCount(g),
+// Merge): the same serialized form, Count, Footprint, MemoryBytes,
+// AccuracyBound and query answers afterwards, and the same behaviour
+// under every later operation, RNG state included. other is not
+// modified. The CountScaler clamps carry over: g ≥ 1 or NaN is Merge,
+// and g ≤ 0 merges an emptied clone, so only incompatibility errors
+// and Merge's side effects of merging an empty sketch remain.
+// TestMergeScaledEquivalence enforces this for every implementation.
+type ScaledMerger interface {
+	// MergeScaled folds other into the receiver with other's weight
+	// multiplied by g.
+	MergeScaled(other Sketch, g float64) error
+}
+
 // Footprinter is implemented by sketches that can report their live
 // memory footprint — the bytes actually held right now, including
 // allocated-but-unused buffer capacity and reusable scratch — as

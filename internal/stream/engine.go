@@ -47,10 +47,11 @@ type Config struct {
 	// seconds between the pane's end and the window's end (the newest
 	// pane always has weight 1). Requires sliding mode (0 < Slide <
 	// WindowSize) and a Builder whose product implements
-	// sketch.CountScaler — the weighting clones the sealed pane sketch
-	// and rescales the clone's count, so the pane itself stays exact
-	// for later windows. 0 disables decay; a DecayLambda of 0 is
-	// bit-identical to the undecayed sliding run.
+	// sketch.CountScaler. Each older pane is folded in through
+	// sketch.MergeScaled: a sketch.ScaledMerger kernel when the product
+	// has one, otherwise a rescaled serde clone. Either way the pane
+	// itself stays exact for later windows. 0 disables decay; a
+	// DecayLambda of 0 is bit-identical to the undecayed sliding run.
 	DecayLambda float64
 	// Rate is the source's event rate in events per second (study: 50,000).
 	Rate int

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/kll"
 	"repro/internal/obs"
@@ -222,16 +223,79 @@ func TestPaneBitIdentityVsRecompute(t *testing.T) {
 }
 
 // TestPaneDecayVsRecompute extends the recompute contract to the
-// exponentially decayed mode: the engine's per-pane clone-and-scale
-// assembly matches an independent recomputation applying the same
-// weights.
+// exponentially decayed mode, for every study sketch: the engine's
+// assembly through sketch.MergeScaled kernels matches an independent
+// recomputation that clones each older pane through serde, scales the
+// clone and merges it.
 func TestPaneDecayVsRecompute(t *testing.T) {
 	const lambda = 0.9
-	cfg := paneCfg()
-	cfg.DecayLambda = lambda
-	want := paneReference(t, paneCfg(), lambda)
-	got, _ := mustRunCollect(t, cfg)
-	assertSameWindows(t, "decayed", got, want)
+	for _, alg := range core.AlgorithmNames() {
+		t.Run(alg, func(t *testing.T) {
+			builder, err := core.NewBuilder(alg, core.BuilderOptions{Seed: 99})
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := paneCfg()
+			base.Builder = builder
+			cfg := base
+			cfg.DecayLambda = lambda
+			want := paneReference(t, base, lambda)
+			got, _ := mustRunCollect(t, cfg)
+			assertSameWindows(t, "decayed", got, want)
+		})
+	}
+}
+
+// serdeDecay hides a sketch's ScaledMerger kernel and forwards what the
+// engine and the budget governor use, so a decayed run assembles its
+// windows through sketch.MergeScaled's serde reference path.
+type serdeDecay struct{ sketch.Sketch }
+
+func (s serdeDecay) InsertBatch(xs []float64) { sketch.InsertAll(s.Sketch, xs) }
+func (s serdeDecay) ScaleCount(g float64)     { s.Sketch.(sketch.CountScaler).ScaleCount(g) }
+func (s serdeDecay) Footprint() int           { return sketch.FootprintOf(s.Sketch) }
+func (s serdeDecay) Degrade() (int, error)    { return s.Sketch.(sketch.Degrader).Degrade() }
+func (s serdeDecay) AccuracyBound() float64 {
+	return s.Sketch.(sketch.AccuracyBounder).AccuracyBound()
+}
+
+func (s serdeDecay) Merge(other sketch.Sketch) error {
+	if o, ok := other.(serdeDecay); ok {
+		other = o.Sketch
+	}
+	return s.Sketch.Merge(other)
+}
+
+// TestPaneDecayBudgetKernelMatchesSerde runs a decayed UDDSketch job
+// under a memory budget that degrades pane sketches, so windows merge
+// panes at different collapse counts, and requires the MergeScaled
+// kernels to reproduce the serde reference path's windows bit for bit.
+func TestPaneDecayBudgetKernelMatchesSerde(t *testing.T) {
+	builder, err := core.NewBuilder(core.AlgUDD, core.BuilderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(b sketch.Builder) []WindowResult {
+		cfg := paneCfg()
+		cfg.Builder = b
+		cfg.DecayLambda = 0.9
+		cfg.MemoryBudget = 48 << 10
+		got, _ := mustRunCollect(t, cfg)
+		return got
+	}
+	got := run(builder)
+	want := run(func() sketch.Sketch { return serdeDecay{builder()} })
+	assertSameWindows(t, "budgeted decay", got, want)
+	degraded := 0
+	for i, w := range got {
+		degraded += w.Degradations
+		if a, b := w.AccuracyBound, want[i].AccuracyBound; a != b {
+			t.Errorf("window %d: accuracy bound %v, serde path %v", i, a, b)
+		}
+	}
+	if degraded == 0 {
+		t.Error("the budget never degraded a sketch (retune the test)")
+	}
 }
 
 // TestPaneParallelBitIdentical extends the Workers determinism

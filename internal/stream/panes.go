@@ -34,11 +34,14 @@ import (
 // With DecayLambda > 0, window assembly down-weights each pane by
 // exp(-λ·age), age being the seconds between the pane's end and the
 // window's end. The newest pane has age 0 and is merged directly; an
-// older pane's sealed sketch is cloned (Marshal/Unmarshal round-trip
-// into a fresh builder product) and the clone's count rescaled via
-// sketch.CountScaler before merging, so the sealed pane stays exact
-// for the later windows that still reference it. λ = 0 makes every
-// weight 1 and is bit-identical to the undecayed sliding run.
+// older pane enters through sketch.MergeScaled, which folds the sealed
+// sketch in at its weight without modifying it, so the pane stays
+// exact for the later windows that still reference it. Sketches with a
+// sketch.ScaledMerger kernel do that in one pass; any other
+// sketch.CountScaler takes the helper's reference path (serde clone
+// into a fresh builder product, ScaleCount, Merge), which every kernel
+// matches bit for bit. λ = 0 makes every weight 1 and is bit-identical
+// to the undecayed sliding run.
 
 // sealedPane is one sealed pane: its merged sketch (nil if the pane
 // held engine-side state but no inserts) plus the engine-side
@@ -223,22 +226,6 @@ func (rs *runState) paneWeight(j int, endT time.Duration) float64 {
 	return math.Exp(-rs.cfg.DecayLambda * age)
 }
 
-// cloneScaled clones a sealed pane sketch via a Marshal/Unmarshal
-// round-trip into a fresh builder product and rescales the clone's
-// count by g, leaving the original untouched for later windows.
-func (rs *runState) cloneScaled(src sketch.Sketch, g float64) (sketch.Sketch, error) {
-	blob, err := src.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("stream: decay clone: %w", err)
-	}
-	clone := rs.cfg.Builder()
-	if err := clone.UnmarshalBinary(blob); err != nil {
-		return nil, fmt.Errorf("stream: decay clone: %w", err)
-	}
-	clone.(sketch.CountScaler).ScaleCount(g)
-	return clone, nil
-}
-
 // firePaned fires window k: seal every pane the fire makes immutable,
 // assemble the window by merging its panes oldest-first (down-weighted
 // under decay), emit, and evict panes no remaining window references.
@@ -272,15 +259,7 @@ func (rs *runState) firePaned(k int) error {
 		if sp.sketch == nil {
 			continue
 		}
-		src := sp.sketch
-		if g := rs.paneWeight(j, endT); g < 1 {
-			clone, err := rs.cloneScaled(src, g)
-			if err != nil {
-				return err
-			}
-			src = clone
-		}
-		if err := merged.Merge(src); err != nil {
+		if err := sketch.MergeScaled(merged, sp.sketch, rs.paneWeight(j, endT), rs.cfg.Builder); err != nil {
 			return fmt.Errorf("stream: window %d pane merge: %w", k, err)
 		}
 		if rs.met != nil {

@@ -436,58 +436,107 @@ func (s *Sketch) Rank(x float64) (float64, error) {
 }
 
 // Merge implements sketch.Sketch (the fusion algorithm of Cafaro et al.):
-// the less-collapsed sketch's buckets are collapsed until both share γ,
+// both sides are brought to the larger collapse count so they share γ,
 // the aligned bucket counts are added, and a final uniform collapse runs
-// if the bucket budget is exceeded. The two sides' stores may differ in
-// kind; the receiver keeps its own.
+// if the bucket budget is exceeded. A less collapsed receiver collapses
+// in place; a less collapsed source is folded on the fly (see fold), so
+// other is neither copied nor modified. The two sides' stores may differ
+// in kind; the receiver keeps its own.
 func (s *Sketch) Merge(other sketch.Sketch) error {
+	o, err := s.mergeable(other)
+	if err != nil {
+		return err
+	}
+	s.fold(o, 1)
+	return nil
+}
+
+// mergeable returns other as a *Sketch when its counts can be added to
+// the receiver's: same initial α and the same indexer.
+func (s *Sketch) mergeable(other sketch.Sketch) (*Sketch, error) {
 	o, ok := other.(*Sketch)
 	if !ok {
-		return fmt.Errorf("%w: cannot merge %s into uddsketch", sketch.ErrIncompatible, other.Name())
+		return nil, fmt.Errorf("%w: cannot merge %s into uddsketch", sketch.ErrIncompatible, other.Name())
 	}
 	if math.Abs(o.initAlpha-s.initAlpha) > 1e-15 {
-		return fmt.Errorf("%w: initial alpha mismatch %v vs %v", sketch.ErrIncompatible, s.initAlpha, o.initAlpha)
+		return nil, fmt.Errorf("%w: initial alpha mismatch %v vs %v", sketch.ErrIncompatible, s.initAlpha, o.initAlpha)
 	}
 	if o.indexer != s.indexer {
 		// Different indexers bucket at different boundaries; adding their
 		// counts index-by-index would silently corrupt both guarantees.
-		return fmt.Errorf("%w: indexer mismatch %d vs %d", sketch.ErrIncompatible, s.indexer, o.indexer)
+		return nil, fmt.Errorf("%w: indexer mismatch %d vs %d", sketch.ErrIncompatible, s.indexer, o.indexer)
 	}
-	mergedCount := s.Count() + o.Count()
-	// Work on a private copy of the more-refined side so `other` is not
-	// mutated while aligning γ.
-	src := o
-	if o.collapses < s.collapses {
-		src = o.clone()
-		for src.collapses < s.collapses {
-			src.uniformCollapse()
-		}
-	}
-	for s.collapses < src.collapses {
+	return o, nil
+}
+
+// fold adds o's counts into s, each count c entering as scaleCount(c,
+// g) (c itself when g is 1). The receiver first collapses up to o's
+// collapse count. If o is the less collapsed side, each of its indexes
+// i moves straight to ⌈i/2^d⌉, d being the collapse gap: d uniform
+// collapses of o's store, without building it. Integer sums do not
+// depend on the order buckets arrive in, and a dense receiver sees its
+// first new index in each store in the same ascending order as from a
+// collapsed copy, so it grows the same array.
+func (s *Sketch) fold(o *Sketch, g float64) {
+	before := s.Count()
+	for s.collapses < o.collapses {
 		s.uniformCollapse()
 	}
-	src.positive.ForEachUnordered(s.positive.Add)
-	src.negative.ForEachUnordered(s.negative.Add)
-	s.zeroCnt += src.zeroCnt
-	if src.min < s.min {
-		s.min = src.min
+	var added int64
+	if gap := s.collapses - o.collapses; gap == 0 && g == 1 {
+		// Aligned plain merge: the buckets go in as they are.
+		o.positive.ForEachUnordered(s.positive.Add)
+		o.negative.ForEachUnordered(s.negative.Add)
+		added = o.positive.Total() + o.negative.Total()
+	} else {
+		f := &bucketFold{dst: s.positive, gap: gap, g: g}
+		add := f.add
+		o.positive.ForEachUnordered(add)
+		f.dst = s.negative
+		o.negative.ForEachUnordered(add)
+		added = f.added
 	}
-	if src.max > s.max {
-		s.max = src.max
+	z := scaleCount(o.zeroCnt, g)
+	s.zeroCnt += z
+	added += z
+	// A scaled source whose counts all rounded away adds no bounds: the
+	// reference path's ScaleCount resets min/max with the counts.
+	if g == 1 || added > 0 {
+		if o.min < s.min {
+			s.min = o.min
+		}
+		if o.max > s.max {
+			s.max = o.max
+		}
 	}
 	s.enforceBudget()
 	if metrics != nil {
 		metrics.PeakBytes.Max(int64(s.MemoryBytes()))
 	}
-	s.assertCount("merge", mergedCount)
-	return nil
+	s.assertCount("merge", before+uint64(added))
 }
 
-func (s *Sketch) clone() *Sketch {
-	c := *s
-	c.positive = s.positive.Clone().(bucketStore)
-	c.negative = s.negative.Clone().(bucketStore)
-	return &c
+// bucketFold is fold's per-bucket step for a shifted or scaled source.
+// One value serves both stores, so the walk allocates no more than the
+// aligned path's two method values.
+type bucketFold struct {
+	dst   bucketStore
+	gap   int
+	g     float64
+	added int64
+}
+
+func (f *bucketFold) add(i int, c int64) {
+	if c = scaleCount(c, f.g); c > 0 {
+		f.dst.Add(ceilShift(i, f.gap), c)
+		f.added += c
+	}
+}
+
+// ceilShift is ⌈i/2^d⌉: d repeated uniform collapses of index i, each
+// ⌈i/2⌉. The arithmetic shift floors -i/2^d.
+func ceilShift(i, d int) int {
+	return -(-i >> uint(d))
 }
 
 // NonEmptyBuckets reports the live bucket count across both stores.

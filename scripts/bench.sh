@@ -26,7 +26,10 @@
 #    engine recomputing every overlapping window (each event inserted
 #    into ~16 open sketches at slide = window/16) against the
 #    pane-sharing engine (one insert per event, windows assembled by
-#    merging panes), with a hard >= 3x speedup floor → BENCH_pane.json
+#    merging panes), with a hard >= 3x speedup floor → BENCH_pane.json.
+#    The same file pairs the decayed pane run through sketch.MergeScaled's
+#    serde reference path (decay-serde) against the same run through the
+#    UDDSketch ScaledMerger kernel (decay), measured in the same run
 #  - budget: memory-budget governor overhead. Self-comparison: the
 #    disabled path (MemoryBudget 0) against a slack budget that tracks
 #    footprints on cadence but never degrades, with a >= 0.98x floor
@@ -160,6 +163,7 @@ compare_pane() {
 	go run ./cmd/benchjson \
 		-current "$pane_current" \
 		-compare 'BenchmarkSlidingThroughput/recompute=BenchmarkSlidingThroughput/pane' \
+		-compare 'BenchmarkSlidingThroughput/decay-serde=BenchmarkSlidingThroughput/decay' \
 		-out BENCH_pane.json
 }
 

@@ -89,6 +89,11 @@ gate hotpath-allocs go test -run 'Allocs' ./internal/kll ./internal/req \
 # sorting oracle on any input; a short live fuzz session hunts for one
 # that breaks it (crashers land in internal/stats/testdata/fuzz).
 gate fuzz-quantileset go test -run '^$' -fuzz FuzzQuantileSet -fuzztime 10s ./internal/stats
+# Every sketch.ScaledMerger kernel must match MergeScaled's serde
+# reference path bit for bit on any receiver, source and weight; a short
+# live fuzz session hunts for a disagreement (crashers land in
+# internal/sketch/testdata/fuzz).
+gate fuzz-mergescaled go test -run '^$' -fuzz FuzzMergeScaled -fuzztime 10s ./internal/sketch
 gate invariant-tests go test -tags invariants ./internal/...
 gate race go test -race ./internal/stream ./internal/harness
 # Crash-recovery / corruption matrix under the race detector: injected
@@ -107,9 +112,10 @@ gate concurrent go test -race -run 'Concurrent|Relaxation|Shared|Epoch|Snapshot|
 # Sliding-window pane sharing under the race detector: pane-merged
 # windows must be bit-identical to recompute-from-scratch references
 # (serial and parallel), decay must be metamorphic at λ=0, pane state
-# must survive crash recovery, and ScaleCount must be deterministic.
+# must survive crash recovery, ScaleCount must be deterministic, and
+# every MergeScaled kernel must match the serde reference path.
 gate pane go test -race \
-	-run 'Pane|Sliding|Decay|ScaleCount|WeightedQuantiles|TumblingSlide' \
+	-run 'Pane|Sliding|Decay|ScaleCount|MergeScaled|WeightedQuantiles|TumblingSlide' \
 	./internal/stream ./internal/sketch ./internal/stats ./internal/harness
 # Memory-budget governor and fault-hardened checkpoint I/O under the
 # race detector: the budget-never-exceeded property, graceful
